@@ -389,7 +389,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--oracle", action="store_true")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; has no effect, every round "
+                            "is one batched computation")
         if name == "ablate":
             p.add_argument("--axis", required=True, choices=_ABLATION_AXES)
     args = parser.parse_args(argv)

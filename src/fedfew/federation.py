@@ -11,13 +11,16 @@ One communication round of fedfew:
 
 Full participation every round.  All randomness flows from the experiment
 seed through named substreams (data, init, per-round batching), so the final
-models are a pure function of the configuration regardless of how many
-workers evaluate the client rounds.
+models are a pure function of the configuration.
+
+Every method trains all client-model pairs of an (M, K') grid of parameter
+vectors at once (local_training): fedfew broadcasts its K models, fedavg its
+one, ifca gives each client its best model and local each client its own.
+The runners' workers argument is accepted and has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,16 +35,11 @@ from .data import (
 )
 from .errors import ConfigError
 from .metrics import weight_diagnostics
-from .model import MLP, SOFTMAX, ModelSpec, grad, init_params, loss
+from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, grad, grid_loss, grid_loss_and_grad,
+                    init_params, loss, stack_rows)
 from .numerics import Rng
-from .scalarization import (
-    ScalarizationConfig,
-    aggregate_gradients,
-    apply_sample_weighting,
-    compute_weights,
-    loss_matrix,
-    stch_set_value,
-)
+from .scalarization import (ScalarizationConfig, aggregate_gradients, apply_sample_weighting,
+                            compute_weights, stch_set_value)
 
 METHODS = ("fedfew", "fedavg", "ifca", "local")
 
@@ -62,8 +60,8 @@ class ModelConfig:
             raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.hidden_dim < 1:
             raise ConfigError("hidden_dim must be >= 1")
-        if self.l2_penalty < 0:
-            raise ConfigError("l2_penalty must be nonnegative")
+        if not (np.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
+            raise ConfigError("l2_penalty must be nonnegative and finite")
 
 
 @dataclass
@@ -115,10 +113,10 @@ class ExperimentConfig:
             raise ConfigError("M, K, T, and E must all be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.mu <= 0:
-            raise ConfigError("mu must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be positive and finite")
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ConfigError("mu must be positive and finite")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ConfigError("validation_fraction must lie in (0, 1)")
         if self.method in ("fedavg", "local") and self.models != 1:
@@ -209,17 +207,71 @@ def build_problem(cfg: ExperimentConfig) -> tuple[list[ClientDataset], ModelSpec
     return clients, model_spec
 
 
-def _epochs(spec, train, theta, epochs, batch_size, eta, rng):
-    """Mini-batch gradient descent; batches drawn without replacement."""
-    theta = np.array(theta, dtype=np.float64)
-    n = train.n
-    b = min(batch_size, n)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, b):
-            idx = order[start : start + b]
-            theta -= eta * grad(spec, theta, train.features[idx], train.labels[idx])
-    return theta
+# Clients per block of the grid: bounds the kernel's temporaries, which grow
+# with block * K' * C * n, whatever M is.
+CLIENT_BLOCK = 256
+
+
+def _blocks(rows: ClientRows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of at most CLIENT_BLOCK clients and their split sizes, largest
+    first: a block pads little, and its clients with batches left lead it."""
+    counts = rows.counts
+    by_size = np.argsort(-counts, kind="stable")
+    return [(ids, counts[ids])
+            for ids in np.split(by_size, range(CLIENT_BLOCK, len(counts), CLIENT_BLOCK))]
+
+
+def _batch_plan(counts: np.ndarray, batch_size: int):
+    """Batches of min(batch_size, n_i) rows for clients of nonincreasing size:
+    for each client, batch and slot, the position in the epoch's row order it
+    reads and its weight, 1/|batch| or 0 on padding, (M, S, B); and (S,) how
+    many clients, a prefix, have that batch.
+    """
+    b = np.minimum(batch_size, counts)
+    steps = -(-counts // b)  # ceil(n_i / b_i), nonincreasing with n_i
+    starts = np.arange(steps[0])[None, :] * b[:, None]  # (M, S)
+    length = np.clip(counts[:, None] - starts, 0, b[:, None])
+    slot = np.arange(b.max())
+    valid = slot < length[..., None]
+    pos = np.where(valid, starts[..., None] + slot, 0)
+    weights = np.where(valid, 1.0 / np.maximum(length, 1)[..., None], 0.0)
+    return pos, weights, np.count_nonzero(length, axis=0)
+
+
+def local_training(spec, rows, thetas, epochs, batch_size, eta, batch_rng):
+    """E epochs of mini-batch descent on every (client, model) pair of a grid.
+
+    Client i trains thetas[i, k] (M, K', d) on rows[i], its stacked train split,
+    in batches of min(batch_size, n_i) rows, one permutation per epoch drawn from
+    batch_rng(i, k); a client whose batch is its whole split draws none.
+    Returns the local parameters and the whole-split loss and gradient there.
+    """
+    m, k, d = thetas.shape
+    local = np.array(thetas, dtype=np.float64)
+    losses, grads = np.empty((m, k)), np.empty((m, k, d))
+    for ids, counts in _blocks(rows):
+        part, theta = rows[ids, :, : counts[0]], local[ids]
+        pos, weights, live = _batch_plan(counts, batch_size)
+        shuffled = [(i, j, batch_rng(ids[i], j))
+                    for i in range(len(ids)) for j in range(k) if batch_size < counts[i]]
+        order = np.broadcast_to(np.arange(counts[0]), (len(ids), k, counts[0])).copy()
+        for _ in range(epochs):
+            for i, j, rng in shuffled:
+                order[i, j, : counts[i]] = rng.permutation(counts[i])
+            for s, a in enumerate(live):
+                batch = part if not shuffled else part[:a].take(
+                    np.take_along_axis(order[:a], pos[:a, None, s], axis=2), weights[:a, None, s])
+                theta[:a] -= eta * grid_loss_and_grad(spec, theta[:a], batch)[1]
+        local[ids] = theta
+        losses[ids], grads[ids] = grid_loss_and_grad(spec, theta, part)
+    return local, losses, grads
+
+
+def _uploads(gradient_mode, thetas, local, grads, eta):
+    """What each pair uploads: the lookahead gradient or the scaled local update."""
+    if gradient_mode not in ("lookahead", "delta"):
+        raise ConfigError(f"unknown gradient_mode {gradient_mode!r}")
+    return grads if gradient_mode == "lookahead" or eta == 0 else (thetas - local) / eta
 
 
 def client_round(
@@ -241,44 +293,73 @@ def client_round(
     at E=1 with a single full batch, and keeps the total server movement
     comparable across (E, T) budgets with T*E fixed.
     """
-    if client.train.n < 1:
-        raise ConfigError("client has an empty train split")
-    theta = _epochs(spec, client.train, theta_k, local_epochs, batch_size, eta, rng)
-    if gradient_mode == "delta":
-        if eta == 0:
-            g = grad(spec, theta_k, client.train.features, client.train.labels)
-        else:
-            g = (np.asarray(theta_k, dtype=np.float64) - theta) / eta
-    elif gradient_mode == "lookahead":
-        g = grad(spec, theta, client.train.features, client.train.labels)
-    else:
-        raise ConfigError(f"unknown gradient_mode {gradient_mode!r}")
-    return g, loss(spec, theta, client.train.features, client.train.labels)
+    rows = stack_rows(spec, [(client.train.features, client.train.labels)])
+    theta = np.asarray(theta_k, dtype=np.float64).reshape(1, 1, spec.dim)
+    local, losses, grads = local_training(spec, rows, theta, local_epochs, batch_size, eta,
+                                          lambda i, k: rng)
+    return _uploads(gradient_mode, theta, local, grads, eta)[0, 0], float(losses[0, 0])
 
 
-def _local_update(spec, client, theta_k, local_epochs, batch_size, eta, rng):
-    """Locally updated parameters plus the loss at that point."""
-    theta = _epochs(spec, client.train, theta_k, local_epochs, batch_size, eta, rng)
-    return theta, loss(spec, theta, client.train.features, client.train.labels)
+def _local_round(cfg: ExperimentConfig, spec, rows, grid, t: int, streams, models):
+    """local_training of round t over a grid, checked for non-finite results.
+
+    Pair (i, k) draws its batches from (STREAM_BATCH, t, i, streams[i, k]) and
+    trains model models[i, k], which the error names.
+    """
+    def batch_rng(i, k):
+        return Rng(cfg.seed, (STREAM_BATCH, t, i, int(streams[i, k])))
+
+    # a diverging run overflows; the check below reports where
+    with np.errstate(over="ignore", invalid="ignore"):
+        local, losses, grads = local_training(spec, rows, grid, cfg.local_epochs,
+                                              cfg.batch_size, cfg.learning_rate, batch_rng)
+    bad = ~(np.isfinite(losses) & np.isfinite(grads).all(axis=2))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise FloatingPointError(
+            f"round {t}: client {i}, model {int(models[i, k])}: non-finite loss or "
+            f"gradient after local training (learning_rate={cfg.learning_rate:g})")
+    return local, losses, grads
 
 
-def _map_tasks(fn, tasks, workers: int):
-    if workers <= 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: fn(*t), tasks))
+def _problem(cfg: ExperimentConfig, clients, spec) -> tuple[ModelSpec, np.ndarray, ClientRows]:
+    """The spec, the train sizes and the stacked train splits of a run."""
+    if clients is None:
+        clients, spec = build_problem(cfg)
+    if len(clients) != cfg.clients:
+        raise ConfigError(f"config says M={cfg.clients} but {len(clients)} clients were built")
+    sizes = np.array([c.train.n for c in clients], dtype=np.float64)
+    return spec, sizes, stack_rows(spec, [(c.train.features, c.train.labels) for c in clients])
+
+
+def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows) -> np.ndarray:
+    """(M, K) losses of every model on every client's rows, block by block."""
+    losses = np.empty((rows.x.shape[0], len(models)))
+    for ids, counts in _blocks(rows):
+        grid = np.broadcast_to(models, (len(ids), *models.shape))
+        losses[ids] = grid_loss(spec, grid, rows[ids, :, : counts[0]])
+    return losses
 
 
 def _weighted(cfg: ExperimentConfig, raw_losses, grads, sizes):
     """Apply normalized-sample-size weighting to losses and gradients jointly."""
-    scal = ScalarizationConfig(mu=cfg.mu)
-    if scal.use_sample_weighting:
-        lm = apply_sample_weighting(raw_losses, sizes)
-        if grads is not None:
-            grads = grads * lm.sample_weights[:, None, None]
-    else:
-        lm = loss_matrix(raw_losses)
-    return lm, grads, scal
+    lm = apply_sample_weighting(raw_losses, sizes)
+    if grads is not None:
+        grads = grads * lm.sample_weights[:, None, None]
+    return lm, grads, ScalarizationConfig(mu=cfg.mu)
+
+
+def _trace(t, lm, scal, weights, grad_norms, uploads) -> RoundTrace:
+    alpha_cv, entropy, wmax = weight_diagnostics(weights)
+    return RoundTrace(round=t, stch_value=stch_set_value(lm, scal), grad_norms=grad_norms,
+                      alpha_cv=alpha_cv, w_entropy_mean=entropy, w_max_mean=wmax,
+                      uploads=uploads)
+
+
+def _baseline_trace(cfg, t, raw_losses, sizes, grad_norms, uploads) -> RoundTrace:
+    """A baseline round, scored with the smooth objective fedfew optimizes."""
+    lm, _, scal = _weighted(cfg, raw_losses, None, sizes)
+    return _trace(t, lm, scal, compute_weights(lm, scal), grad_norms, uploads)
 
 
 def _init_models(spec: ModelSpec, seed: int, count: int) -> np.ndarray:
@@ -294,44 +375,21 @@ def run_fedfew(
     gradient_mode: str = "lookahead",
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Joint optimization of K server models via smooth set scalarization."""
-    if clients is None:
-        clients, spec = build_problem(cfg)
+    spec, sizes, rows = _problem(cfg, clients, spec)
     M, K = cfg.clients, cfg.models
-    if len(clients) != M:
-        raise ConfigError(f"config says M={M} but {len(clients)} clients were built")
-    sizes = np.array([c.train.n for c in clients], dtype=np.float64)
     thetas = _init_models(spec, cfg.seed, K)
-    d = thetas.shape[1]
+    models = np.broadcast_to(np.arange(K), (M, K))
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
-        tasks = [
-            (spec, clients[i], thetas[k], cfg.local_epochs, cfg.batch_size,
-             cfg.learning_rate, Rng(cfg.seed).split(STREAM_BATCH, t, i, k),
-             gradient_mode)
-            for i in range(M)
-            for k in range(K)
-        ]
-        results = _map_tasks(client_round, tasks, workers)
-        grads = np.empty((M, K, d))
-        losses = np.empty((M, K))
-        for idx, (g, lv) in enumerate(results):
-            i, k = divmod(idx, K)
-            grads[i, k] = g
-            losses[i, k] = lv
-        lm, wgrads, scal = _weighted(cfg, losses, grads, sizes)
+        grid = np.broadcast_to(thetas, (M, *thetas.shape))
+        local, losses, grads = _local_round(cfg, spec, rows, grid, t, models, models)
+        uploads = _uploads(gradient_mode, grid, local, grads, cfg.learning_rate)
+        lm, wgrads, scal = _weighted(cfg, losses, uploads, sizes)
         weights = compute_weights(lm, scal)
         agg = aggregate_gradients(weights, wgrads)
         thetas = thetas - cfg.learning_rate * agg
-        alpha_cv, entropy, wmax = weight_diagnostics(weights)
-        traces.append(RoundTrace(
-            round=t,
-            stch_value=stch_set_value(lm, scal),
-            grad_norms=np.linalg.norm(agg, axis=1),
-            alpha_cv=alpha_cv,
-            w_entropy_mean=entropy,
-            w_max_mean=wmax,
-            uploads=uploads_per_round("fedfew", M, K),
-        ))
+        traces.append(_trace(t, lm, scal, weights, np.linalg.norm(agg, axis=1),
+                             uploads_per_round("fedfew", M, K)))
     return thetas, traces
 
 
@@ -344,35 +402,19 @@ def run_fedavg(
     """Single global model via sample-size-weighted parameter averaging."""
     if cfg.models != 1:
         raise ConfigError("fedavg requires K=1")
-    if clients is None:
-        clients, spec = build_problem(cfg)
+    spec, sizes, rows = _problem(cfg, clients, spec)
     M = cfg.clients
-    sizes = np.array([c.train.n for c in clients], dtype=np.float64)
     weights = sizes / sizes.sum()
     theta = _init_models(spec, cfg.seed, 1)[0]
+    models = np.zeros((M, 1), dtype=np.int64)
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
-        tasks = [
-            (spec, clients[i], theta, cfg.local_epochs, cfg.batch_size,
-             cfg.learning_rate, Rng(cfg.seed).split(STREAM_BATCH, t, i, 0))
-            for i in range(M)
-        ]
-        results = _map_tasks(_local_update, tasks, workers)
-        locals_ = np.stack([th for th, _ in results])
-        losses = np.array([[lv] for _, lv in results])
-        new_theta = weights @ locals_
-        lm, _, scal = _weighted(cfg, losses, None, sizes)
-        sw = compute_weights(lm, scal)
-        alpha_cv, entropy, wmax = weight_diagnostics(sw)
-        traces.append(RoundTrace(
-            round=t,
-            stch_value=stch_set_value(lm, scal),
-            grad_norms=np.array([np.linalg.norm(theta - new_theta) / cfg.learning_rate]),
-            alpha_cv=alpha_cv,
-            w_entropy_mean=entropy,
-            w_max_mean=wmax,
-            uploads=uploads_per_round("fedavg", M, 1),
-        ))
+        grid = np.broadcast_to(theta, (M, 1, theta.size))
+        local, losses, _ = _local_round(cfg, spec, rows, grid, t, models, models)
+        new_theta = weights @ local[:, 0]
+        norm = np.linalg.norm(theta - new_theta) / cfg.learning_rate
+        traces.append(_baseline_trace(cfg, t, losses, sizes, np.array([norm]),
+                                      uploads_per_round("fedavg", M, 1)))
         theta = new_theta
     return theta[None, :], traces
 
@@ -384,45 +426,23 @@ def run_ifca(
     workers: int = 1,
 ) -> tuple[np.ndarray, list[RoundTrace], list[AssignmentResult]]:
     """Hard clustering: clients train only their current best model."""
-    if clients is None:
-        clients, spec = build_problem(cfg)
+    spec, sizes, rows = _problem(cfg, clients, spec)
     M, K = cfg.clients, cfg.models
-    sizes = np.array([c.train.n for c in clients], dtype=np.float64)
     thetas = _init_models(spec, cfg.seed, K)
     traces: list[RoundTrace] = []
     assignments: list[AssignmentResult] = []
     for t in range(1, cfg.rounds + 1):
-        eval_losses = np.array([
-            [loss(spec, thetas[k], c.train.features, c.train.labels) for k in range(K)]
-            for c in clients
-        ])
-        choice = np.argmin(eval_losses, axis=1)
-        tasks = [
-            (spec, clients[i], thetas[choice[i]], cfg.local_epochs, cfg.batch_size,
-             cfg.learning_rate, Rng(cfg.seed).split(STREAM_BATCH, t, i, int(choice[i])))
-            for i in range(M)
-        ]
-        results = _map_tasks(_local_update, tasks, workers)
-        new_thetas = thetas.copy()
-        for k in range(K):
-            members = np.flatnonzero(choice == k)
-            if members.size == 0:
-                continue  # empty cluster keeps its previous parameters
-            cw = sizes[members] / sizes[members].sum()
-            new_thetas[k] = cw @ np.stack([results[i][0] for i in members])
-        lm, _, scal = _weighted(cfg, eval_losses, None, sizes)
-        sw = compute_weights(lm, scal)
-        alpha_cv, entropy, wmax = weight_diagnostics(sw)
-        traces.append(RoundTrace(
-            round=t,
-            stch_value=stch_set_value(lm, scal),
-            grad_norms=np.linalg.norm(thetas - new_thetas, axis=1) / cfg.learning_rate,
-            alpha_cv=alpha_cv,
-            w_entropy_mean=entropy,
-            w_max_mean=wmax,
-            uploads=uploads_per_round("ifca", M, K),
-        ))
-        assignments.append(AssignmentResult(selected=choice, losses=eval_losses))
+        eval_losses = _grid_losses(spec, thetas, rows)
+        choice = np.argmin(eval_losses, axis=1)[:, None]  # (M, 1)
+        local, _, _ = _local_round(cfg, spec, rows, thetas[choice], t, choice, choice)
+        mass = (choice == np.arange(K)) * sizes[:, None]  # (M, K) cluster members
+        totals = mass.sum(axis=0)[:, None]
+        # an empty cluster keeps its previous parameters
+        new_thetas = np.where(totals > 0, mass.T @ local[:, 0] / np.maximum(totals, 1.0), thetas)
+        norms = np.linalg.norm(thetas - new_thetas, axis=1) / cfg.learning_rate
+        traces.append(_baseline_trace(cfg, t, eval_losses, sizes, norms,
+                                      uploads_per_round("ifca", M, K)))
+        assignments.append(AssignmentResult(selected=choice[:, 0], losses=eval_losses))
         thetas = new_thetas
     return thetas, traces, assignments
 
@@ -434,47 +454,25 @@ def run_local(
     workers: int = 1,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Every client trains its own model; no communication at all."""
-    if clients is None:
-        clients, spec = build_problem(cfg)
+    spec, sizes, rows = _problem(cfg, clients, spec)
     M = cfg.clients
-    sizes = np.array([c.train.n for c in clients], dtype=np.float64)
-    root = Rng(cfg.seed)
-    thetas = np.stack([init_params(spec, root.split(STREAM_INIT, i)) for i in range(M)])
+    thetas = _init_models(spec, cfg.seed, M)  # one model per client
+    streams = np.zeros((M, 1), dtype=np.int64)
+    models = np.arange(M)[:, None]  # client i trains model i
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
-        tasks = [
-            (spec, clients[i], thetas[i], cfg.local_epochs, cfg.batch_size,
-             cfg.learning_rate, Rng(cfg.seed).split(STREAM_BATCH, t, i, 0))
-            for i in range(M)
-        ]
-        results = _map_tasks(_local_update, tasks, workers)
-        new_thetas = np.stack([th for th, _ in results])
-        losses = np.array([[lv] for _, lv in results])
-        lm, _, scal = _weighted(cfg, losses, None, sizes)
-        sw = compute_weights(lm, scal)
-        alpha_cv, entropy, wmax = weight_diagnostics(sw)
+        local, losses, _ = _local_round(cfg, spec, rows, thetas[:, None], t, streams, models)
+        new_thetas = local[:, 0]
         step_norm = float(np.mean(np.linalg.norm(thetas - new_thetas, axis=1))) / cfg.learning_rate
-        traces.append(RoundTrace(
-            round=t,
-            stch_value=stch_set_value(lm, scal),
-            grad_norms=np.array([step_norm]),
-            alpha_cv=alpha_cv,
-            w_entropy_mean=entropy,
-            w_max_mean=wmax,
-            uploads=0,
-        ))
+        traces.append(_baseline_trace(cfg, t, losses, sizes, np.array([step_norm]), 0))
         thetas = new_thetas
     return thetas, traces
 
 
 def select_models(spec: ModelSpec, models: np.ndarray, clients: list[ClientDataset]) -> AssignmentResult:
     """Post-training selection: argmin validation loss, ties to lowest index."""
-    models = np.atleast_2d(models)
-    losses = np.array([
-        [loss(spec, models[k], c.validation.features, c.validation.labels)
-         for k in range(models.shape[0])]
-        for c in clients
-    ])
+    rows = stack_rows(spec, [(c.validation.features, c.validation.labels) for c in clients])
+    losses = _grid_losses(spec, np.atleast_2d(models), rows)
     return AssignmentResult(selected=np.argmin(losses, axis=1), losses=losses)
 
 

@@ -131,6 +131,115 @@ def grad(spec: ModelSpec, theta, features, labels) -> np.ndarray:
     return g + spec.l2_penalty * theta
 
 
+@dataclass(frozen=True)
+class ClientRows:
+    """Rows of M clients, stacked and weighted for the grid kernel.
+
+    G is 1 when every model of a client sees the same rows (a whole split)
+    and K' when each client-model task has its own mini-batch.  Each task's
+    row weights sum to one; padding rows have zero features and zero weight,
+    so clients of unequal size share one array.
+    """
+
+    x: np.ndarray  # (M, G, n, p + 1): features with the bias column last
+    labels: np.ndarray  # (M, G, n) int64; padding rows hold 0
+    weights: np.ndarray  # (M, G, n), or (M, 1, n) when the G tasks share them
+
+    def __getitem__(self, key) -> "ClientRows":
+        """Some clients, or some clients and rows: rows[ids, :, :n]."""
+        return ClientRows(self.x[key], self.labels[key], self.weights[key])
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(M,) rows of each client, for a G = 1 stack."""
+        return np.count_nonzero(self.weights[:, 0], axis=1)
+
+    def take(self, rows: np.ndarray, weights: np.ndarray) -> "ClientRows":
+        """Per-task batches of a G=1 stack: rows (M, K', b) index each client's rows."""
+        clients = np.arange(rows.shape[0])[:, None, None]
+        return ClientRows(self.x[clients, 0, rows], self.labels[clients, 0, rows], weights)
+
+
+def stack_rows(spec: ModelSpec, pairs) -> ClientRows:
+    """Validate (features, labels) of M clients once and stack them, G = 1."""
+    feats = [np.asarray(f, dtype=np.float64) for f, _ in pairs]
+    labels = [np.asarray(y, dtype=np.int64) for _, y in pairs]
+    counts = np.array([len(y) for y in labels])
+    p = spec.input_dim
+    if counts.min() < 1 or any(f.shape != (len(y), p) or y.ndim != 1 for f, y in zip(feats, labels)):
+        raise ValueError(f"each client needs n >= 1 rows of {p} features and one label per row")
+    flat_labels = np.concatenate(labels)
+    if flat_labels.min() < 0 or flat_labels.max() >= spec.classes:
+        raise ValueError(f"labels must lie in [0, {spec.classes})")
+    client = np.repeat(np.arange(len(counts)), counts)
+    row = np.arange(len(client)) - np.repeat(np.cumsum(counts) - counts, counts)
+    x = np.zeros((len(counts), 1, counts.max(), p + 1))
+    x[client, 0, row] = np.column_stack([np.concatenate(feats), np.ones(len(client))])
+    y = np.zeros(x.shape[:3], dtype=np.int64)
+    y[client, 0, row] = flat_labels
+    weights = np.zeros(x.shape[:3])
+    weights[client, 0, row] = 1.0 / counts[client]
+    return ClientRows(x, y, weights)
+
+
+def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
+    """loss of every pair (M, K'), plus what the gradient needs: the
+    exponentials of the shifted logits (M, K', C, n), their sums over classes,
+    the one-hot labels times row weights (M, G, C, n) and the hidden layer.
+
+    Classes sit on the second-to-last axis, so the reductions over the few
+    classes run along contiguous rows of n values.
+    """
+    m, k = thetas.shape[:2]
+    p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
+    xt = rows.x.swapaxes(-1, -2)  # (M, G, p + 1, n)
+    if spec.kind == SOFTMAX:
+        z, a = thetas.reshape(m, k, c, p + 1) @ xt, None
+    else:
+        n1 = (p + 1) * h
+        w2 = thetas[..., n1:].reshape(m, k, c, h + 1)
+        a = np.tanh(thetas[..., :n1].reshape(m, k, h, p + 1) @ xt)
+        z = w2[..., :h] @ a + w2[..., h:]
+    z -= z.max(axis=-2, keepdims=True)
+    e = np.exp(z)
+    partition = e.sum(axis=-2, keepdims=True)
+    target = (rows.labels[..., None, :] == np.arange(c)[:, None]) * rows.weights[..., None, :]
+    # cross-entropy of a row: log partition minus the shifted logit of its label
+    losses = (rows.weights * np.log(partition[..., 0, :])).sum(axis=-1)
+    losses -= np.einsum("...cn,...cn->...", target, z)
+    losses += 0.5 * spec.l2_penalty * np.einsum("mkd,mkd->mk", thetas, thetas)
+    return losses, e, partition, target, a
+
+
+def grid_loss(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:
+    """loss of every pair of the grid: (M, K') for thetas (M, K', d)."""
+    return _grid_forward(spec, thetas, rows)[0]
+
+
+def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows) -> tuple[np.ndarray, np.ndarray]:
+    """loss (M, K') and grad (M, K', d) of every pair of the grid in one pass.
+
+    thetas[i, k] is scored on the rows of client i: rows.x[i, 0] when G = 1,
+    rows.x[i, k] when G = K'.  Agrees with loss/grad per pair up to the
+    summation order.
+    """
+    m, k, _ = thetas.shape
+    losses, delta, partition, target, a = _grid_forward(spec, thetas, rows)
+    delta /= partition
+    delta *= rows.weights[..., None, :]
+    delta -= target  # (M, K', C, n): weighted softmax minus one-hot
+    if spec.kind == SOFTMAX:
+        g = (delta @ rows.x).reshape(m, k, -1)
+    else:
+        p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
+        w2 = thetas[..., (p + 1) * h :].reshape(m, k, c, h + 1)
+        g2 = np.concatenate([delta @ a.swapaxes(-1, -2), delta.sum(axis=-1)[..., None]], axis=-1)
+        # backprop through tanh; drop the bias column of W2
+        da = (w2[..., :h].swapaxes(-1, -2) @ delta) * (1.0 - a * a)
+        g = np.concatenate([(da @ rows.x).reshape(m, k, -1), g2.reshape(m, k, -1)], axis=-1)
+    return losses, g + spec.l2_penalty * thetas
+
+
 def predict(spec: ModelSpec, theta, features) -> np.ndarray:
     """Argmax-class prediction per row; ties break toward the lowest index."""
     theta = _check_theta(spec, theta)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import log_sum_exp, smooth_min, softmin_weights
+from .numerics import log_sum_exp, softmin_weights
 
 
 @dataclass
@@ -69,8 +69,8 @@ class ScalarizationConfig:
     use_sample_weighting: bool = True
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ConfigError("mu must be strictly positive")
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ConfigError("mu must be strictly positive and finite")
         if self.preferences is not None:
             self.preferences = np.asarray(self.preferences, dtype=np.float64)
             if np.any(self.preferences <= 0):
@@ -125,12 +125,18 @@ def tch_set_value(lm: LossMatrix, cfg: ScalarizationConfig) -> float:
     return float(np.max(lam * (np.min(lm.values, axis=1) - ideal)))
 
 
+def _soft_rows(values: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """smooth_min (M,) and softmin_weights (M, K) of every row, shifted by its minimum."""
+    low = values.min(axis=1, keepdims=True)
+    e = np.exp(-(values - low) / mu)
+    total = e.sum(axis=1, keepdims=True)
+    return (low - mu * np.log(total))[:, 0], e / total
+
+
 def stch_set_value(lm: LossMatrix, cfg: ScalarizationConfig) -> float:
     """Smooth surrogate, evaluated entirely in the shifted log domain."""
-    inner = np.array([smooth_min(row, cfg.mu) for row in lm.values])
-    lam = cfg.lam(lm.clients)
-    ideal = cfg.ideal(lm.clients)
-    return log_sum_exp(lam * (inner - ideal), cfg.mu)
+    inner, _ = _soft_rows(lm.values, cfg.mu)
+    return log_sum_exp(cfg.lam(lm.clients) * (inner - cfg.ideal(lm.clients)), cfg.mu)
 
 
 def compute_weights(lm: LossMatrix, cfg: ScalarizationConfig) -> ScalarizationWeights:
@@ -140,21 +146,16 @@ def compute_weights(lm: LossMatrix, cfg: ScalarizationConfig) -> ScalarizationWe
     stch_set_value for any preferences; at unit preferences alpha is the
     softmax over clients of -log S_i and sums to one.
     """
-    mu = cfg.mu
     lam = cfg.lam(lm.clients)
-    ideal = cfg.ideal(lm.clients)
-    inner = np.array([smooth_min(row, mu) for row in lm.values])
-    log_S = -inner / mu
-    w = np.stack([softmin_weights(row, mu) for row in lm.values])
-    outer = softmin_weights(-lam * (inner - ideal), mu)  # softmax of the bracket
-    return ScalarizationWeights(alpha=outer * lam, w=w, log_S=log_S)
+    inner, w = _soft_rows(lm.values, cfg.mu)
+    outer = softmin_weights(-lam * (inner - cfg.ideal(lm.clients)), cfg.mu)  # softmax of the bracket
+    return ScalarizationWeights(alpha=outer * lam, w=w, log_S=-inner / cfg.mu)
 
 
 def aggregate_gradients(weights: ScalarizationWeights, grads: np.ndarray) -> np.ndarray:
     """Per-model gradients: out[k] = sum_i alpha_i * w[i, k] * grads[i, k].
 
-    grads has shape (M, K, d).  Accumulation runs in ascending client order
-    so results are independent of how the client gradients were produced.
+    grads has shape (M, K, d).
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 3:
@@ -162,7 +163,4 @@ def aggregate_gradients(weights: ScalarizationWeights, grads: np.ndarray) -> np.
     m, k, d = grads.shape
     if weights.w.shape != (m, k) or weights.alpha.shape != (m,):
         raise ValueError("weights shape does not match gradients")
-    out = np.zeros((k, d))
-    for i in range(m):
-        out += (weights.alpha[i] * weights.w[i])[:, None] * grads[i]
-    return out
+    return np.einsum("ik,ikd->kd", weights.flattened, grads)

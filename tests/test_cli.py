@@ -181,6 +181,22 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, text)
         assert main(["run", str(path), "--out", str(tmp_path / "y")]) == 3
 
+    def test_diverging_run_names_round_client_and_model(self, tmp_path, capsys):
+        text = BASE.replace("learning_rate=0.5", "learning_rate=1e200") + "model.kind=mlp-1hidden\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["run", str(path), "--out", str(tmp_path / "nan")]) == 3
+        err = capsys.readouterr().err
+        assert "round" in err and "client" in err and "model" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key, field", [("mu", "mu"), ("learning_rate", "learning_rate"),
+                                            ("model.l2", "l2_penalty")])
+    def test_non_finite_rate_is_config_error(self, tmp_path, capsys, key, field, value):
+        text = BASE.replace("learning_rate=0.5\n", "") + f"{key}={value}\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["run", str(path), "--out", str(tmp_path / "bad")]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
     def test_seed_override_changes_manifest(self, tmp_path):
         path = write_cfg(tmp_path, BASE)
         main(["run", str(path), "--out", str(tmp_path / "s1")])

@@ -1,8 +1,11 @@
 """Protocol behavior: client rounds, the four methods, selection, optima."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fedfew import federation
 from fedfew.data import ClientDataset, Dataset, MixtureSpec, gen_mixture
 from fedfew.errors import ConfigError
 from fedfew.federation import (
@@ -21,8 +24,14 @@ from fedfew.federation import (
     uploads_per_round,
 )
 from fedfew.metrics import accuracy
-from fedfew.model import ModelSpec, grad, init_params
+from fedfew.model import ModelSpec, grad, init_params, loss
 from fedfew.numerics import Rng
+from fedfew.scalarization import (
+    ScalarizationConfig,
+    aggregate_gradients,
+    apply_sample_weighting,
+    compute_weights,
+)
 
 SPEC = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-3)
 
@@ -304,3 +313,111 @@ class TestPerClientOptimum:
         for _ in range(100):
             probe = rng.normal(scale=2.0, size=SPEC.dim)
             assert best <= loss(SPEC, probe, client.train.features, client.train.labels) + 1e-12
+
+
+# ----------------------------------------------------------------------
+# the batched round engine against a per-task loop built from model.grad
+# ----------------------------------------------------------------------
+
+MLP_SPEC = ModelSpec("mlp-1hidden", input_dim=2, classes=2, hidden_dim=3, l2_penalty=1e-3)
+
+
+def uneven_clients():
+    # train splits of 16, 23, 29 and 4 rows: with batches of 8 the clients
+    # take 2, 3, 4 and 1 steps per epoch, and the last one draws no order
+    return [make_client(seed=s, n=n, client_id=s) for s, n in enumerate((20, 27, 33, 8))]
+
+
+def engine_cfg(method, K):
+    return ExperimentConfig(method=method, clients=4, models=K, rounds=3, seed=12,
+                            local_epochs=2, batch_size=8, learning_rate=0.3, mu=0.05,
+                            model=ModelConfig(l2_penalty=1e-3), data=DataConfig())
+
+
+def loop_local(spec, train, theta, cfg, t, i, key):
+    """One task's local epochs, written out batch by batch."""
+    rng = Rng(cfg.seed).split(STREAM_BATCH, t, i, key)
+    theta = theta.copy()
+    b = min(cfg.batch_size, train.n)
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(train.n) if b < train.n else np.arange(train.n)
+        for s in range(0, train.n, b):
+            idx = order[s : s + b]
+            theta -= cfg.learning_rate * grad(spec, theta, train.features[idx], train.labels[idx])
+    return theta
+
+
+def loop_fedfew(cfg, clients, spec, gradient_mode):
+    sizes = np.array([c.train.n for c in clients], float)
+    thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(cfg.models)])
+    for t in range(1, cfg.rounds + 1):
+        losses = np.empty((len(clients), cfg.models))
+        grads = np.empty((len(clients), cfg.models, spec.dim))
+        for i, c in enumerate(clients):
+            x, y = c.train.features, c.train.labels
+            for k in range(cfg.models):
+                local = loop_local(spec, c.train, thetas[k], cfg, t, i, k)
+                losses[i, k] = loss(spec, local, x, y)
+                grads[i, k] = (grad(spec, local, x, y) if gradient_mode == "lookahead"
+                               else (thetas[k] - local) / cfg.learning_rate)
+        lm = apply_sample_weighting(losses, sizes)
+        weights = compute_weights(lm, ScalarizationConfig(mu=cfg.mu))
+        thetas = thetas - cfg.learning_rate * aggregate_gradients(
+            weights, grads * lm.sample_weights[:, None, None])
+    return thetas
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
+    @pytest.mark.parametrize("gradient_mode", ["lookahead", "delta"])
+    def test_fedfew_matches_task_loop(self, spec, gradient_mode):
+        cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
+        models, _ = run_fedfew(cfg, clients, spec, gradient_mode=gradient_mode)
+        expected = loop_fedfew(cfg, clients, spec, gradient_mode)
+        np.testing.assert_allclose(models, expected, rtol=1e-10)
+
+    def test_blocks_of_sorted_clients_match_task_loop(self, monkeypatch):
+        # blocks of 3: the largest three clients, then the smallest
+        monkeypatch.setattr(federation, "CLIENT_BLOCK", 3)
+        cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
+        models, _ = run_fedfew(cfg, clients, MLP_SPEC)
+        expected = loop_fedfew(cfg, clients, MLP_SPEC, "lookahead")
+        np.testing.assert_allclose(models, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
+    def test_ifca_matches_task_loop(self, spec):
+        cfg, clients = engine_cfg("ifca", 2), uneven_clients()
+        models, _, assignments = run_ifca(cfg, clients, spec)
+        sizes = np.array([c.train.n for c in clients], float)
+        thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(2)])
+        for t in range(1, cfg.rounds + 1):
+            choice = np.array([np.argmin([loss(spec, th, c.train.features, c.train.labels)
+                                          for th in thetas]) for c in clients])
+            np.testing.assert_array_equal(assignments[t - 1].selected, choice)
+            local = np.stack([loop_local(spec, c.train, thetas[choice[i]], cfg, t, i, choice[i])
+                              for i, c in enumerate(clients)])
+            for k in range(2):
+                members = choice == k
+                if members.any():
+                    thetas[k] = (sizes[members] / sizes[members].sum()) @ local[members]
+        np.testing.assert_allclose(models, thetas, rtol=1e-10)
+
+    @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
+    def test_local_matches_task_loop(self, spec):
+        cfg, clients = engine_cfg("local", 1), uneven_clients()
+        models, _ = run_local(cfg, clients, spec)
+        thetas = [init_params(spec, Rng(cfg.seed).split(1, i)) for i in range(len(clients))]
+        for t in range(1, cfg.rounds + 1):
+            thetas = [loop_local(spec, c.train, thetas[i], cfg, t, i, 0)
+                      for i, c in enumerate(clients)]
+        np.testing.assert_allclose(models, np.stack(thetas), rtol=1e-10)
+
+    def test_non_finite_round_names_round_client_and_model(self):
+        cfg = replace(engine_cfg("fedfew", 2), learning_rate=1e200)
+        with pytest.raises(FloatingPointError, match=r"round 1: client \d+, model \d+"):
+            run_fedfew(cfg, uneven_clients(), MLP_SPEC)
+
+    def test_local_non_finite_names_the_clients_own_model(self):
+        cfg = replace(engine_cfg("local", 1), learning_rate=1e200)
+        with pytest.raises(FloatingPointError, match=r"round 1: client (\d+), model \1:"):
+            run_local(cfg, uneven_clients(), MLP_SPEC)

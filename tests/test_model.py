@@ -9,10 +9,13 @@ from fedfew.model import (
     ModelSpec,
     finite_difference_grad,
     grad,
+    grid_loss,
+    grid_loss_and_grad,
     init_params,
     loss,
     class_probabilities,
     predict,
+    stack_rows,
 )
 from fedfew.numerics import Rng
 
@@ -180,3 +183,57 @@ class TestInit:
     def test_deterministic(self):
         spec = ModelSpec("mlp-1hidden", input_dim=4, classes=3, hidden_dim=5)
         np.testing.assert_array_equal(init_params(spec, Rng(7)), init_params(spec, Rng(7)))
+
+
+class TestGridKernel:
+    """The batched kernel against loss/grad, pair by pair."""
+
+    @staticmethod
+    def instance(kind, seed=0, m=4, k=3):
+        rng = Rng(seed)
+        spec = ModelSpec(kind, input_dim=3, classes=4,
+                         hidden_dim=5 if kind == "mlp-1hidden" else 0, l2_penalty=1e-3)
+        sizes = [1, 6, 13, 9][:m]  # unequal clients share one padded stack
+        pairs = [(rng.split(1, i).normal(size=(n, 3)), rng.split(2, i).integers(0, 4, size=n))
+                 for i, n in enumerate(sizes)]
+        thetas = np.stack([[init_params(spec, rng.split(3, i, j)) for j in range(k)]
+                           for i in range(m)])
+        return spec, pairs, thetas
+
+    @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+    def test_whole_splits_match_per_pair(self, kind):
+        spec, pairs, thetas = self.instance(kind)
+        rows = stack_rows(spec, pairs)
+        losses, grads = grid_loss_and_grad(spec, thetas, rows)
+        np.testing.assert_array_equal(grid_loss(spec, thetas, rows), losses)
+        for i, (x, y) in enumerate(pairs):
+            for k in range(thetas.shape[1]):
+                assert losses[i, k] == pytest.approx(loss(spec, thetas[i, k], x, y), abs=1e-12)
+                np.testing.assert_allclose(grads[i, k], grad(spec, thetas[i, k], x, y),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+    def test_per_task_batches_match_per_pair(self, kind):
+        spec, pairs, thetas = self.instance(kind, seed=1)
+        rows = stack_rows(spec, pairs)
+        counts = np.array([len(y) for _, y in pairs])
+        rng = Rng(5)
+        # three rows per task, drawn with repeats from the client's own rows
+        idx = np.stack([[rng.integers(0, n, size=3) for _ in range(thetas.shape[1])]
+                        for n in counts])
+        losses, grads = grid_loss_and_grad(spec, thetas, rows.take(idx, np.full(idx.shape, 1 / 3)))
+        for i, (x, y) in enumerate(pairs):
+            for k in range(thetas.shape[1]):
+                rows_ik = idx[i, k]
+                assert losses[i, k] == pytest.approx(
+                    loss(spec, thetas[i, k], x[rows_ik], y[rows_ik]), abs=1e-12)
+                np.testing.assert_allclose(grads[i, k],
+                                           grad(spec, thetas[i, k], x[rows_ik], y[rows_ik]),
+                                           rtol=0, atol=1e-12)
+
+    def test_stacking_validates_once(self):
+        spec = ModelSpec("softmax-regression", input_dim=2, classes=2)
+        with pytest.raises(ValueError):
+            stack_rows(spec, [(np.zeros((2, 2)), np.array([0, 1])), (np.zeros((1, 3)), np.array([0]))])
+        with pytest.raises(ValueError):
+            stack_rows(spec, [(np.zeros((1, 2)), np.array([2]))])

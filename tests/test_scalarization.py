@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedfew.errors import ConfigError
+from fedfew.numerics import log_sum_exp, smooth_min, softmin_weights
 from fedfew.scalarization import (
     LossMatrix,
     ScalarizationConfig,
@@ -92,6 +93,11 @@ class TestStchSetValue:
     def test_mu_must_be_positive(self):
         with pytest.raises(ConfigError):
             ScalarizationConfig(mu=0.0)
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_mu_must_be_finite(self, mu):
+        with pytest.raises(ConfigError):
+            ScalarizationConfig(mu=mu)
 
     @settings(max_examples=200)
     @given(loss_matrices, st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
@@ -269,3 +275,53 @@ class TestLossMatrixInvariants:
     def test_rejects_bad_sample_weights(self):
         with pytest.raises(ValueError):
             LossMatrix(np.ones((2, 2)), np.array([0.9, 0.2]))
+
+
+class TestVectorisedAgainstScalar:
+    """The axis-wise forms against numerics.smooth_min/softmin_weights per row."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            m, k = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            scale = 10.0 ** rng.uniform(-2, 6)  # entries up to 1e6
+            values = rng.uniform(0.0, 1.0, size=(m, k)) * scale
+            mu = (1e-3, 1e-2, 0.1, 1.0)[trial % 4]
+            general = trial % 2 == 1
+            cfg = ScalarizationConfig(
+                mu=mu,
+                preferences=rng.uniform(0.2, 3.0, size=m) if general else None,
+                ideal_points=rng.uniform(-1.0, 1.0, size=m) * scale if general else None)
+            yield loss_matrix(values), cfg
+
+    def test_stch_set_value(self):
+        for lm, cfg in self.cases():
+            m = lm.clients
+            inner = np.array([smooth_min(row, cfg.mu) for row in lm.values])
+            expected = log_sum_exp(cfg.lam(m) * (inner - cfg.ideal(m)), cfg.mu)
+            assert stch_set_value(lm, cfg) == pytest.approx(expected, rel=1e-14, abs=1e-12)
+
+    def test_compute_weights(self):
+        for lm, cfg in self.cases():
+            m = lm.clients
+            got = compute_weights(lm, cfg)
+            inner = np.array([smooth_min(row, cfg.mu) for row in lm.values])
+            for i, row in enumerate(lm.values):
+                np.testing.assert_allclose(got.w[i], softmin_weights(row, cfg.mu),
+                                           rtol=1e-14, atol=1e-300)
+            lam = cfg.lam(m)
+            alpha = softmin_weights(-lam * (inner - cfg.ideal(m)), cfg.mu) * lam
+            np.testing.assert_allclose(got.alpha, alpha, rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(got.log_S, -inner / cfg.mu, rtol=1e-14)
+
+    def test_aggregate_gradients(self):
+        rng = np.random.default_rng(5)
+        for lm, cfg in self.cases():
+            weights = compute_weights(lm, cfg)
+            grads = rng.normal(size=(lm.clients, lm.models, 4))
+            expected = np.zeros((lm.models, 4))
+            for i in range(lm.clients):
+                expected += (weights.alpha[i] * weights.w[i])[:, None] * grads[i]
+            np.testing.assert_allclose(aggregate_gradients(weights, grads), expected,
+                                       rtol=1e-12, atol=1e-15)
