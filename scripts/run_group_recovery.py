@@ -34,7 +34,6 @@ def evaluate(spec, models, selected, clients):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     base = replace(parse_config(CONFIG), seed=args.seed)
@@ -42,17 +41,17 @@ def main() -> int:
     groups = np.array([c.group for c in clients])
 
     rows = []
-    models, _ = run_fedfew(base, clients, spec, workers=args.workers)
+    models, _ = run_fedfew(base, clients, spec)
     sel = select_models(spec, models, clients).selected
     rows.append(("fedfew", evaluate(spec, models, sel, clients), sel))
 
     avg_cfg = replace(base, method="fedavg", models=1)
-    avg_models, _ = run_fedavg(avg_cfg, clients, spec, workers=args.workers)
+    avg_models, _ = run_fedavg(avg_cfg, clients, spec)
     rows.append(("fedavg", evaluate(spec, avg_models, np.zeros(base.clients, int), clients),
                  np.zeros(base.clients, int)))
 
     ifca_cfg = replace(base, method="ifca")
-    ifca_models, _, _ = run_ifca(ifca_cfg, clients, spec, workers=args.workers)
+    ifca_models, _, _ = run_ifca(ifca_cfg, clients, spec)
     sel_i = select_models(spec, ifca_models, clients).selected
     rows.append(("ifca", evaluate(spec, ifca_models, sel_i, clients), sel_i))
 

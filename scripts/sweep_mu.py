@@ -20,10 +20,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/mu_sweep")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    rows = run_ablation(CONFIG, "mu", args.out, workers=args.workers, seed=args.seed)
+    rows = run_ablation(CONFIG, "mu", args.out, seed=args.seed)
     print(f"{'mu':>8s} {'mean_acc':>9s} {'jain':>7s} {'final_entropy':>14s}")
     for r in rows:
         print(f"{r['value']:>8s} {r['mean_acc']:9.4f} {r['jain_index']:7.4f} "

@@ -49,7 +49,6 @@ from .federation import (
     uploads_per_round,
 )
 from .metrics import (
-    ClientReport,
     FairnessReport,
     accuracy,
     coverage_gap,

@@ -15,7 +15,9 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,48 +37,108 @@ from .federation import (
 )
 from .metrics import accuracy, coverage_gap, fairness_report
 
-_DEFAULTS = {
-    "method": None,  # required
-    "M": None,
-    "K": None,
-    "T": None,
-    "seed": None,
-    "E": "1",
-    "batch_size": "50",
-    "learning_rate": "0.1",
-    "mu": "0.01",
-    "validation_fraction": "0.2",
-    "oracle": "0",
-    "model.kind": "softmax-regression",
-    "model.hidden_dim": "16",
-    "model.l2": "0.0001",
-    "dataset": "mixture",
-    "mixture.G": "1",
-    "mixture.clients_per_group": "",
-    "mixture.sep": "1.0",
-    "mixture.noise": "0.2",
-    "mixture.n_per_client": "100",
-    "mixture.permute_labels": "0",
-    "mixture.classes": "2",
-    "mixture.input_dim": "2",
-    "csv.path": "",
-    "partition": "dirichlet",
-    "dirichlet.alpha": "0.5",
-    "pathological.classes_per_client": "2",
-    "ablate.K": "",
-    "ablate.mu": "",
-    "ablate.local_epochs": "",
-}
-_REQUIRED = ("method", "M", "K", "T", "seed")
-_ABLATION_AXES = ("K", "mu", "local_epochs")
+
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return format(float(value), ".9g")
 
 
-@dataclass
-class RunManifest:
-    config: ExperimentConfig
-    canonical_text: str
-    checksum: str
-    out_dir: Path
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+@dataclass(frozen=True)
+class Value:
+    """A type of config value: what its text must be, how it is read and shown."""
+
+    what: str
+    read: Callable[[str], object]
+    show: Callable[[object], str] = _fmt
+
+
+TEXT = Value("text", str)
+INT = Value("an integer", int)
+FLOAT = Value("a finite number", _finite)
+BOOL = Value("a boolean", _bool)
+
+
+def _list_of(item: Value) -> Value:
+    """A comma list of item values; blank entries are skipped, none at all is None."""
+    return Value(f"a comma list, each {item.what}",
+                 lambda text: [item.read(v) for v in text.split(",") if v.strip()] or None,
+                 lambda values: "" if values is None else ",".join(map(item.show, values)))
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its value type, its default text (None: required) and
+    the ExperimentConfig attribute it sets (model./data. for the parts; None:
+    not part of the run's config, so not part of its checksum either)."""
+
+    name: str
+    value: Value
+    default: str | None
+    attr: str | None
+
+    def parse(self, text: str):
+        try:
+            return self.value.read(text)
+        except ValueError as exc:
+            field = self.attr.rpartition(".")[2] if self.attr else self.name
+            raise ConfigError(
+                f"config key {self.name}={text!r}: {field} must be {self.value.what}") from exc
+
+
+KEYS = (
+    Key("method", TEXT, None, "method"),
+    Key("M", INT, None, "clients"),
+    Key("K", INT, None, "models"),
+    Key("T", INT, None, "rounds"),
+    Key("seed", INT, None, "seed"),
+    Key("E", INT, "1", "local_epochs"),
+    Key("batch_size", INT, "50", "batch_size"),
+    Key("learning_rate", FLOAT, "0.1", "learning_rate"),
+    Key("mu", FLOAT, "0.01", "mu"),
+    Key("validation_fraction", FLOAT, "0.2", "validation_fraction"),
+    Key("oracle", BOOL, "0", None),
+    Key("model.kind", TEXT, "softmax-regression", "model.kind"),
+    Key("model.hidden_dim", INT, "16", "model.hidden_dim"),
+    Key("model.l2", FLOAT, "0.0001", "model.l2_penalty"),
+    Key("dataset", TEXT, "mixture", "data.dataset"),
+    Key("mixture.G", INT, "1", "data.groups"),
+    Key("mixture.clients_per_group", _list_of(INT), "", "data.clients_per_group"),
+    Key("mixture.sep", FLOAT, "1.0", "data.separation"),
+    Key("mixture.noise", FLOAT, "0.2", "data.noise_std"),
+    Key("mixture.n_per_client", INT, "100", "data.samples_per_client"),
+    Key("mixture.permute_labels", BOOL, "0", "data.permute_labels"),
+    Key("mixture.classes", INT, "2", "data.classes"),
+    Key("mixture.input_dim", INT, "2", "data.input_dim"),
+    Key("csv.path", TEXT, "", "data.csv_path"),
+    Key("partition", TEXT, "dirichlet", "data.partition"),
+    Key("dirichlet.alpha", FLOAT, "0.5", "data.dirichlet_alpha"),
+    Key("pathological.classes_per_client", INT, "2", "data.classes_per_client"),
+    Key("ablate.K", _list_of(INT), "", None),
+    Key("ablate.mu", _list_of(FLOAT), "", None),
+    Key("ablate.local_epochs", _list_of(INT), "", None),
+)
+_BY_NAME = {key.name: key for key in KEYS}
+# ablate --axis: the key whose values it sweeps
+_ABLATION_AXES = {"K": _BY_NAME["K"], "mu": _BY_NAME["mu"], "local_epochs": _BY_NAME["E"]}
 
 
 def _read_pairs(path) -> dict[str, str]:
@@ -92,7 +154,7 @@ def _read_pairs(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _BY_NAME:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
@@ -100,80 +162,29 @@ def _read_pairs(path) -> dict[str, str]:
     return pairs
 
 
-def _resolve(pairs: dict[str, str]) -> dict[str, str]:
-    for key in _REQUIRED:
-        if key not in pairs:
-            raise ConfigError(f"missing required config key {key!r}")
-    resolved = {k: v for k, v in _DEFAULTS.items() if v is not None}
-    resolved.update(pairs)
-    return resolved
+def _values(pairs: dict[str, str]) -> dict[str, object]:
+    """Every key of the table, parsed from its given text or its default."""
+    values = {}
+    for key in KEYS:
+        text = pairs.get(key.name, key.default)
+        if text is None:
+            raise ConfigError(f"missing required config key {key.name!r}")
+        values[key.name] = key.parse(text)
+    return values
 
 
-def _to_int(resolved, key) -> int:
-    try:
-        return int(resolved[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}={resolved[key]!r} is not an integer") from exc
-
-
-def _to_float(resolved, key) -> float:
-    try:
-        return float(resolved[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}={resolved[key]!r} is not a number") from exc
-
-
-def _to_bool(resolved, key) -> bool:
-    value = resolved[key].lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"config key {key}={resolved[key]!r} is not a boolean")
+def _config(values: dict[str, object]) -> ExperimentConfig:
+    parts: dict[str, dict] = {"": {}, "model": {}, "data": {}}
+    for key in KEYS:
+        if key.attr:
+            part, _, field = key.attr.rpartition(".")
+            parts[part][field] = values[key.name]
+    return ExperimentConfig(**parts[""], model=ModelConfig(**parts["model"]),
+                            data=DataConfig(**parts["data"]))
 
 
 def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
-    resolved = _resolve(pairs)
-    per_group = None
-    if resolved["mixture.clients_per_group"]:
-        try:
-            per_group = [int(v) for v in resolved["mixture.clients_per_group"].split(",")]
-        except ValueError as exc:
-            raise ConfigError("mixture.clients_per_group must be a comma list of integers") from exc
-    data = DataConfig(
-        dataset=resolved["dataset"],
-        groups=_to_int(resolved, "mixture.G"),
-        clients_per_group=per_group,
-        input_dim=_to_int(resolved, "mixture.input_dim"),
-        classes=_to_int(resolved, "mixture.classes"),
-        separation=_to_float(resolved, "mixture.sep"),
-        noise_std=_to_float(resolved, "mixture.noise"),
-        samples_per_client=_to_int(resolved, "mixture.n_per_client"),
-        permute_labels=_to_bool(resolved, "mixture.permute_labels"),
-        csv_path=resolved["csv.path"],
-        partition=resolved["partition"],
-        dirichlet_alpha=_to_float(resolved, "dirichlet.alpha"),
-        classes_per_client=_to_int(resolved, "pathological.classes_per_client"),
-    )
-    model = ModelConfig(
-        kind=resolved["model.kind"],
-        hidden_dim=_to_int(resolved, "model.hidden_dim"),
-        l2_penalty=_to_float(resolved, "model.l2"),
-    )
-    return ExperimentConfig(
-        method=resolved["method"],
-        clients=_to_int(resolved, "M"),
-        models=_to_int(resolved, "K"),
-        rounds=_to_int(resolved, "T"),
-        seed=_to_int(resolved, "seed"),
-        local_epochs=_to_int(resolved, "E"),
-        batch_size=_to_int(resolved, "batch_size"),
-        learning_rate=_to_float(resolved, "learning_rate"),
-        mu=_to_float(resolved, "mu"),
-        validation_fraction=_to_float(resolved, "validation_fraction"),
-        model=model,
-        data=data,
-    )
+    return _config(_values(pairs))
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -183,56 +194,14 @@ def parse_config(path) -> ExperimentConfig:
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Resolved config as sorted key=value lines (checksum input)."""
-    per_group = cfg.data.clients_per_group
-    entries = {
-        "method": cfg.method,
-        "M": cfg.clients,
-        "K": cfg.models,
-        "T": cfg.rounds,
-        "seed": cfg.seed,
-        "E": cfg.local_epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": _fmt(cfg.learning_rate),
-        "mu": _fmt(cfg.mu),
-        "validation_fraction": _fmt(cfg.validation_fraction),
-        "model.kind": cfg.model.kind,
-        "model.hidden_dim": cfg.model.hidden_dim,
-        "model.l2": _fmt(cfg.model.l2_penalty),
-        "dataset": cfg.data.dataset,
-        "mixture.G": cfg.data.groups,
-        "mixture.clients_per_group": "" if per_group is None else ",".join(map(str, per_group)),
-        "mixture.sep": _fmt(cfg.data.separation),
-        "mixture.noise": _fmt(cfg.data.noise_std),
-        "mixture.n_per_client": cfg.data.samples_per_client,
-        "mixture.permute_labels": int(cfg.data.permute_labels),
-        "mixture.classes": cfg.data.classes,
-        "mixture.input_dim": cfg.data.input_dim,
-        "csv.path": cfg.data.csv_path,
-        "partition": cfg.data.partition,
-        "dirichlet.alpha": _fmt(cfg.data.dirichlet_alpha),
-        "pathological.classes_per_client": cfg.data.classes_per_client,
-    }
-    return "\n".join(f"{k}={entries[k]}" for k in sorted(entries)) + "\n"
-
-
-def make_manifest(cfg: ExperimentConfig, out_dir: Path) -> RunManifest:
-    text = canonical_text(cfg)
-    checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return RunManifest(config=cfg, canonical_text=text, checksum=checksum, out_dir=out_dir)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".9g")
+    return "".join(f"{key.name}={key.value.show(attrgetter(key.attr)(cfg))}\n"
+                   for key in sorted(KEYS, key=attrgetter("name")) if key.attr)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -244,7 +213,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False, workers: int = 1) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict:
     """Run one configured experiment and write its output files.
 
     Returns the summary row as a dict for programmatic callers.  On any
@@ -255,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False, workers
     written: list[Path] = []
     try:
         clients, spec = build_problem(cfg)
-        result = _RUNNERS[cfg.method](cfg, clients, spec, workers=workers)
+        result = _RUNNERS[cfg.method](cfg, clients, spec)
         models, traces = result[0], result[1]
 
         if cfg.method == "local":
@@ -296,7 +265,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False, workers
              t.w_max_mean, t.uploads]
             for t in traces
         ]
-        manifest = make_manifest(cfg, out)
+        config_text = canonical_text(cfg)
+        checksum = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
 
         path = out / "trace.csv"
         _write_csv(path, ["round", "stch_value", *k_cols, "alpha_cv",
@@ -310,12 +280,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False, workers
         _write_csv(path, ["mean_acc", "std_acc", "min_acc", "max_acc", "jain_index",
                           "mean_coverage_gap"],
                    [[fairness.mean, fairness.std, fairness.min, fairness.max,
-                     fairness.jain_index, "" if mean_gap is None else _fmt(mean_gap)]])
+                     fairness.jain_index, "" if mean_gap is None else mean_gap]])
         written.append(path)
         path = out / "manifest.txt"
         path.write_text(
-            f"version={__version__}\nchecksum=sha256:{manifest.checksum}\n"
-            f"out_dir={out.name}\n---\n{manifest.canonical_text}",
+            f"version={__version__}\nchecksum=sha256:{checksum}\n"
+            f"out_dir={out.name}\n---\n{config_text}",
             encoding="utf-8",
         )
         written.append(path)
@@ -326,50 +296,43 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False, workers
         raise
 
 
-def _ablation_values(pairs: dict[str, str], axis: str) -> list[str]:
-    raw = pairs.get(f"ablate.{axis}", "")
-    if not raw:
-        raise ConfigError(f"config must list ablate.{axis} values for axis {axis!r}")
-    return [v.strip() for v in raw.split(",") if v.strip()]
-
-
 def run_ablation(config_path, axis: str, out_dir, oracle: bool = False,
-                 workers: int = 1, seed: int | None = None) -> list[dict]:
-    """One run per axis value with a shared seed, plus an aggregate table."""
+                 seed: int | None = None) -> list[dict]:
+    """One run per axis value with a shared seed, plus an aggregate table.
+
+    Every value is parsed and its config validated before the first run.
+    """
     if axis not in _ABLATION_AXES:
-        raise ConfigError(f"axis must be one of {_ABLATION_AXES}, got {axis!r}")
-    pairs = _read_pairs(config_path)
-    base = config_from_pairs(pairs)
+        raise ConfigError(f"axis must be one of {tuple(_ABLATION_AXES)}, got {axis!r}")
+    values = _values(_read_pairs(config_path))
+    base = _config(values)
     if seed is not None:
         base = replace(base, seed=seed)
-    values = _ablation_values(pairs, axis)
+    swept = values[f"ablate.{axis}"]
+    if not swept:
+        raise ConfigError(f"config must list ablate.{axis} values for axis {axis!r}")
+    key = _ABLATION_AXES[axis]
     total_updates = base.rounds * base.local_epochs
+    runs = []
+    for value in swept:
+        cfg = replace(base, **{key.attr: value})
+        if axis == "local_epochs":
+            if total_updates % value != 0:
+                raise ConfigError(
+                    f"local_epochs={value} does not divide total updates T*E={total_updates}"
+                )
+            cfg = replace(cfg, rounds=total_updates // value)
+        runs.append((key.value.show(value), cfg))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for raw in values:
-        if axis == "K":
-            k = int(raw)
-            cfg = replace(base, models=k)
-            label = str(k)
-        elif axis == "mu":
-            cfg = replace(base, mu=float(raw))
-            label = _fmt(float(raw))
-        else:
-            e = int(raw)
-            if total_updates % e != 0:
-                raise ConfigError(
-                    f"local_epochs={e} does not divide total updates T*E={total_updates}"
-                )
-            cfg = replace(base, local_epochs=e, rounds=total_updates // e)
-            label = str(e)
-        sub = out / f"{axis}_{label}"
-        summary = run_experiment(cfg, sub, oracle=oracle, workers=workers)
+    for label, cfg in runs:
+        summary = run_experiment(cfg, out / f"{axis}_{label}", oracle=oracle)
         rows.append({"value": label, **summary})
     table = [
         [axis, r["value"], r["mean_acc"], r["std_acc"], r["min_acc"], r["max_acc"],
          r["jain_index"],
-         "" if r["mean_coverage_gap"] is None else _fmt(r["mean_coverage_gap"]),
+         "" if r["mean_coverage_gap"] is None else r["mean_coverage_gap"],
          r["final_stch_value"], r["final_w_entropy_mean"]]
         for r in rows
     ]
@@ -389,25 +352,19 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--oracle", action="store_true")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; has no effect, every round "
-                            "is one batched computation")
         if name == "ablate":
-            p.add_argument("--axis", required=True, choices=_ABLATION_AXES)
+            p.add_argument("--axis", required=True, choices=tuple(_ABLATION_AXES))
     args = parser.parse_args(argv)
     try:
+        values = _values(_read_pairs(args.config))
+        oracle = args.oracle or values["oracle"]
         if args.command == "run":
-            pairs = _read_pairs(args.config)
-            cfg = config_from_pairs(pairs)
+            cfg = _config(values)
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)
-            oracle = args.oracle or _to_bool(_resolve(pairs), "oracle")
-            run_experiment(cfg, args.out, oracle=oracle, workers=args.workers)
+            run_experiment(cfg, args.out, oracle=oracle)
         else:
-            pairs = _read_pairs(args.config)
-            oracle = args.oracle or _to_bool(_resolve(pairs), "oracle")
-            run_ablation(args.config, args.axis, args.out, oracle=oracle,
-                         workers=args.workers, seed=args.seed)
+            run_ablation(args.config, args.axis, args.out, oracle=oracle, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ models are a pure function of the configuration.
 Every method trains all client-model pairs of an (M, K') grid of parameter
 vectors at once (local_training): fedfew broadcasts its K models, fedavg its
 one, ifca gives each client its best model and local each client its own.
-The runners' workers argument is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -121,8 +120,8 @@ class ExperimentConfig:
             raise ConfigError("validation_fraction must lie in (0, 1)")
         if self.method in ("fedavg", "local") and self.models != 1:
             raise ConfigError(f"method {self.method} requires K=1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
 
 
 @dataclass
@@ -371,7 +370,6 @@ def run_fedfew(
     cfg: ExperimentConfig,
     clients: list[ClientDataset] | None = None,
     spec: ModelSpec | None = None,
-    workers: int = 1,
     gradient_mode: str = "lookahead",
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Joint optimization of K server models via smooth set scalarization."""
@@ -397,7 +395,6 @@ def run_fedavg(
     cfg: ExperimentConfig,
     clients: list[ClientDataset] | None = None,
     spec: ModelSpec | None = None,
-    workers: int = 1,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Single global model via sample-size-weighted parameter averaging."""
     if cfg.models != 1:
@@ -423,7 +420,6 @@ def run_ifca(
     cfg: ExperimentConfig,
     clients: list[ClientDataset] | None = None,
     spec: ModelSpec | None = None,
-    workers: int = 1,
 ) -> tuple[np.ndarray, list[RoundTrace], list[AssignmentResult]]:
     """Hard clustering: clients train only their current best model."""
     spec, sizes, rows = _problem(cfg, clients, spec)
@@ -451,7 +447,6 @@ def run_local(
     cfg: ExperimentConfig,
     clients: list[ClientDataset] | None = None,
     spec: ModelSpec | None = None,
-    workers: int = 1,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Every client trains its own model; no communication at all."""
     spec, sizes, rows = _problem(cfg, clients, spec)

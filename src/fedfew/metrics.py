@@ -18,15 +18,6 @@ from .scalarization import ScalarizationWeights
 
 
 @dataclass
-class ClientReport:
-    client_id: int
-    selected_model: int
-    train_acc: float
-    val_acc: float
-    test_acc: float
-
-
-@dataclass
 class FairnessReport:
     mean: float
     std: float

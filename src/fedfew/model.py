@@ -248,12 +248,6 @@ def predict(spec: ModelSpec, theta, features) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
-def class_probabilities(spec: ModelSpec, theta, features) -> np.ndarray:
-    theta = _check_theta(spec, theta)
-    x, _ = _check_batch(spec, features)
-    return np.exp(_log_softmax(_forward(spec, theta, x)[0]))
-
-
 def finite_difference_grad(spec: ModelSpec, theta, features, labels, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient oracle, coordinate by coordinate."""
     if step <= 0:

@@ -2,14 +2,11 @@
 
 Given the M x K loss matrix L[i, k] (client i evaluated on model k), the
 non-smooth objective is the max over clients of the min over models of the
-preference-weighted losses.  Its smooth surrogate replaces both nested
-operators with log-sum-exp at temperature mu:
+losses.  Its smooth surrogate replaces both nested operators with log-sum-exp
+at temperature mu:
 
-    value = lse_mu over i of  lam_i * (smoothmin_mu over k of L[i, k] - ideal_i)
-
-At the defaults (lam = 1, ideal = 0) this collapses to
-
-    mu * log sum_i ( sum_k exp(-L[i, k] / mu) )^(-1)
+    value = lse_mu over i of  smoothmin_mu over k of L[i, k]
+          = mu * log sum_i ( sum_k exp(-L[i, k] / mu) )^(-1)
 
 whose gradient with respect to model k decomposes into outer client weights
 alpha_i (softmax of -log S_i, up-weighting clients served poorly by every
@@ -20,7 +17,7 @@ at mu = 0.01 stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,44 +61,20 @@ def loss_matrix(values) -> LossMatrix:
 @dataclass
 class ScalarizationConfig:
     mu: float = 0.01
-    preferences: np.ndarray | None = None  # lam_i, default all ones
-    ideal_points: np.ndarray | None = None  # z_i, default all zeros
-    use_sample_weighting: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError("mu must be strictly positive and finite")
-        if self.preferences is not None:
-            self.preferences = np.asarray(self.preferences, dtype=np.float64)
-            if np.any(self.preferences <= 0):
-                raise ConfigError("preferences must be strictly positive")
-        if self.ideal_points is not None:
-            self.ideal_points = np.asarray(self.ideal_points, dtype=np.float64)
-
-    def lam(self, m: int) -> np.ndarray:
-        if self.preferences is None:
-            return np.ones(m)
-        if self.preferences.shape != (m,):
-            raise ValueError(f"preferences must have length {m}")
-        return self.preferences
-
-    def ideal(self, m: int) -> np.ndarray:
-        if self.ideal_points is None:
-            return np.zeros(m)
-        if self.ideal_points.shape != (m,):
-            raise ValueError(f"ideal_points must have length {m}")
-        return self.ideal_points
 
 
 @dataclass
 class ScalarizationWeights:
-    alpha: np.ndarray  # (M,) outer client weights, sum to 1 at unit preferences
+    alpha: np.ndarray  # (M,) outer client weights, sum to 1
     w: np.ndarray  # (M, K) inner soft-selection weights, rows sum to 1
-    log_S: np.ndarray = field(default=None)  # (M,) log sum_k exp(-L[i,k]/mu)
 
     @property
     def flattened(self) -> np.ndarray:
-        """alpha_i * w[i, k]; a convex combination at unit preferences."""
+        """alpha_i * w[i, k]; a convex combination."""
         return self.alpha[:, None] * self.w
 
 
@@ -120,9 +93,7 @@ def apply_sample_weighting(raw_losses, sizes) -> LossMatrix:
 
 def tch_set_value(lm: LossMatrix, cfg: ScalarizationConfig) -> float:
     """Exact nested max-over-clients of min-over-models."""
-    lam = cfg.lam(lm.clients)
-    ideal = cfg.ideal(lm.clients)
-    return float(np.max(lam * (np.min(lm.values, axis=1) - ideal)))
+    return float(np.max(np.min(lm.values, axis=1)))
 
 
 def _soft_rows(values: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,20 +107,18 @@ def _soft_rows(values: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
 def stch_set_value(lm: LossMatrix, cfg: ScalarizationConfig) -> float:
     """Smooth surrogate, evaluated entirely in the shifted log domain."""
     inner, _ = _soft_rows(lm.values, cfg.mu)
-    return log_sum_exp(cfg.lam(lm.clients) * (inner - cfg.ideal(lm.clients)), cfg.mu)
+    return log_sum_exp(inner, cfg.mu)
 
 
 def compute_weights(lm: LossMatrix, cfg: ScalarizationConfig) -> ScalarizationWeights:
     """Outer and inner weights of the smooth objective's gradient.
 
     Computed so that aggregate_gradients(.) is the exact gradient of
-    stch_set_value for any preferences; at unit preferences alpha is the
-    softmax over clients of -log S_i and sums to one.
+    stch_set_value: alpha is the softmax over clients of -log S_i, where
+    log S_i = log sum_k exp(-L[i, k] / mu), and sums to one.
     """
-    lam = cfg.lam(lm.clients)
     inner, w = _soft_rows(lm.values, cfg.mu)
-    outer = softmin_weights(-lam * (inner - cfg.ideal(lm.clients)), cfg.mu)  # softmax of the bracket
-    return ScalarizationWeights(alpha=outer * lam, w=w, log_S=-inner / cfg.mu)
+    return ScalarizationWeights(alpha=softmin_weights(-inner, cfg.mu), w=w)
 
 
 def aggregate_gradients(weights: ScalarizationWeights, grads: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedfew.cli import config_from_pairs, run_experiment
+from fedfew.cli import config_from_pairs, main, run_experiment
 from fedfew.data import Dataset
 from fedfew.federation import (
     DataConfig,
@@ -448,22 +448,25 @@ def test_criterion_10_pareto_witness():
 
 
 # ----------------------------------------------------------------------
-# 11. byte-determinism across reruns and parallelism
+# 11. byte-determinism across reruns and entry points
 # ----------------------------------------------------------------------
 
 def test_criterion_11_determinism(tmp_path):
-    cfg = config_from_pairs({
+    pairs = {
         "method": "fedfew", "M": "6", "K": "2", "T": "12", "seed": "21",
         "mixture.G": "2", "mixture.classes": "2", "mixture.input_dim": "3",
         "mixture.n_per_client": "40", "learning_rate": "0.5",
-    })
-    run_experiment(cfg, tmp_path / "serial", workers=1)
-    run_experiment(cfg, tmp_path / "rerun", workers=1)
-    run_experiment(cfg, tmp_path / "parallel", workers=4)
+    }
+    cfg = config_from_pairs(pairs)
+    run_experiment(cfg, tmp_path / "first")
+    run_experiment(cfg, tmp_path / "rerun")
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()))
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 0
     same = True
     for name in ("trace.csv", "clients.csv", "summary.csv"):
-        ref = (tmp_path / "serial" / name).read_bytes()
+        ref = (tmp_path / "first" / name).read_bytes()
         same &= ref == (tmp_path / "rerun" / name).read_bytes()
-        same &= ref == (tmp_path / "parallel" / name).read_bytes()
-    report("11 determinism", same, "serial rerun and 4-worker outputs byte-identical")
+        same &= ref == (tmp_path / "cli" / name).read_bytes()
+    report("11 determinism", same, "rerun and `fedfew run` outputs byte-identical")
     assert same

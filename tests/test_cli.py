@@ -1,11 +1,15 @@
 """Config parsing, output files, determinism, ablation, exit codes."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedfew.cli import (
+    FLOAT,
+    KEYS,
     canonical_text,
     config_from_pairs,
     main,
@@ -14,6 +18,8 @@ from fedfew.cli import (
     run_experiment,
 )
 from fedfew.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = """\
 method=fedfew
@@ -70,6 +76,21 @@ class TestParseConfig:
         b = parse_config(write_cfg(tmp_path, BASE + "\n# same\n", "b.cfg"))
         assert canonical_text(a) == canonical_text(b)
 
+    @pytest.mark.parametrize("name, digest", [
+        ("group_recovery.cfg", "5715e934f62b4ff63ddbc697543427c67fcb80e80a0674d4db530f3b2b76e7f2"),
+        ("fedavg_baseline.cfg", "07f53b1eb80b5679827b3075e0a7c0829ba9fbc66312c17bc88ee29c62b16646"),
+        ("dirichlet_csv.cfg", "8d410bd965a7e89e8aaaa075635cc4b5888a5b4c93e1c95fb96f96b0c425752f"),
+    ])
+    def test_committed_config_checksums_are_pinned(self, name, digest):
+        text = canonical_text(parse_config(ROOT / "scripts" / "configs" / name))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+        table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+        assert [key.name for key in KEYS if f"`{key.name}`" not in table] == []
+
 
 class TestRunExperiment:
     def test_output_files_and_schema(self, tmp_path):
@@ -95,7 +116,7 @@ class TestRunExperiment:
             {"method": "fedfew", "M": "4", "K": "2", "T": "5", "seed": "9",
              "mixture.G": "2", "mixture.n_per_client": "30"})
         run_experiment(cfg, tmp_path / "a")
-        run_experiment(cfg, tmp_path / "b", workers=3)
+        run_experiment(cfg, tmp_path / "b")
         for name in ("trace.csv", "clients.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -165,6 +186,19 @@ class TestRunAblation:
         with pytest.raises(ConfigError):
             run_ablation(path, "mu", tmp_path / "none")
 
+    @pytest.mark.parametrize("text, axis, message", [
+        (BASE + "ablate.K=2,x\n", "K", "ablate.K"),
+        (BASE.replace("T=8", "T=4") + "ablate.local_epochs=1,2,7\n", "local_epochs",
+         "local_epochs=7"),
+    ])
+    def test_bad_value_exits_two_before_the_first_run(self, tmp_path, capsys, text, axis,
+                                                       message):
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "ab"
+        assert main(["ablate", str(path), "--axis", axis, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -188,14 +222,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "round" in err and "client" in err and "model" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key, field", [("mu", "mu"), ("learning_rate", "learning_rate"),
-                                            ("model.l2", "l2_penalty")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, field", [(key.name, key.attr.rpartition(".")[2])
+                                            for key in KEYS if key.value is FLOAT])
     def test_non_finite_rate_is_config_error(self, tmp_path, capsys, key, field, value):
+        # every float key of the table, named in the error, before any output
         text = BASE.replace("learning_rate=0.5\n", "") + f"{key}={value}\n"
         path = write_cfg(tmp_path, text)
         assert main(["run", str(path), "--out", str(tmp_path / "bad")]) == 2
-        assert f"{field} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config key {key}=" in err and f"{field} must be" in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_seed_beyond_64_bits_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BASE.replace("seed=11", f"seed={2**64}"))
+        assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 2
+        assert "seed must" in capsys.readouterr().err
+        path = write_cfg(tmp_path, BASE, "ok.cfg")
+        assert main(["run", str(path), "--seed", str(2**64), "--out", str(tmp_path / "b")]) == 2
+        assert "seed must" in capsys.readouterr().err
 
     def test_seed_override_changes_manifest(self, tmp_path):
         path = write_cfg(tmp_path, BASE)

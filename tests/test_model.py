@@ -13,7 +13,6 @@ from fedfew.model import (
     grid_loss_and_grad,
     init_params,
     loss,
-    class_probabilities,
     predict,
     stack_rows,
 )
@@ -127,10 +126,12 @@ class TestPredict:
         assert predict(spec, theta, np.array([[10.0]]))[0] == 1
 
     def test_agrees_with_probability_argmax(self):
+        # softmax is monotone, so the most probable class has the largest logit
         spec, theta, _, _ = random_instance(11, classes=4)
         x = Rng(4).normal(size=(100, 3))
-        probs = class_probabilities(spec, theta, x)
-        np.testing.assert_array_equal(predict(spec, theta, x), np.argmax(probs, axis=1))
+        w = theta.reshape(spec.classes, spec.input_dim + 1)  # bias in the last column
+        logits = x @ w[:, :-1].T + w[:, -1]
+        np.testing.assert_array_equal(predict(spec, theta, x), np.argmax(logits, axis=1))
 
 
 class TestFiniteDifference:
