@@ -26,9 +26,7 @@ CONFIG = Path(__file__).parent / "configs" / "group_recovery.cfg"
 
 
 def evaluate(spec, models, selected, clients):
-    accs = [accuracy(spec, models[selected[i]], c.test_or_validation)
-            for i, c in enumerate(clients)]
-    return accs
+    return accuracy(spec, models[selected], [c.test_or_validation for c in clients])
 
 
 def main() -> int:

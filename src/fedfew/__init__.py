@@ -9,7 +9,7 @@ bounds and qualitative behavior.
 
 from .errors import ConfigError
 from .numerics import Rng, log_sum_exp, smooth_min, softmin_weights
-from .model import ModelSpec, finite_difference_grad, grad, init_params, loss, predict
+from .model import ModelSpec, init_params
 from .data import (
     ClientDataset,
     Dataset,
@@ -39,7 +39,6 @@ from .federation import (
     OptimumResult,
     RoundTrace,
     build_problem,
-    client_round,
     per_client_optimum,
     run_fedavg,
     run_fedfew,

@@ -231,16 +231,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
             selected = np.arange(cfg.clients)
         else:
             selected = select_models(spec, models, clients).selected
-
-        client_rows = []
-        test_accs = []
-        for i, c in enumerate(clients):
-            theta = models[selected[i]] if cfg.method != "local" else models[i]
-            tr = accuracy(spec, theta, c.train)
-            va = accuracy(spec, theta, c.validation)
-            te = accuracy(spec, theta, c.test_or_validation)
-            test_accs.append(te)
-            client_rows.append([i, int(selected[i]), tr, va, te])
+        served = models[selected]
+        # one split at a time: each call stacks the rows of its split only
+        train_accs = accuracy(spec, served, [c.train for c in clients])
+        val_accs = accuracy(spec, served, [c.validation for c in clients])
+        test_accs = accuracy(spec, served, [c.test_or_validation for c in clients])
+        client_rows = [[i, int(selected[i]), train_accs[i], val_accs[i], test_accs[i]]
+                       for i in range(cfg.clients)]
 
         mean_gap = None
         if oracle:

@@ -34,8 +34,8 @@ from .data import (
 )
 from .errors import ConfigError
 from .metrics import weight_diagnostics
-from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, grad, grid_loss, grid_loss_and_grad,
-                    init_params, loss, stack_rows)
+from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses, grid_loss,
+                    grid_loss_and_grad, init_params, stack_rows)
 from .numerics import Rng
 from .scalarization import (ScalarizationConfig, aggregate_gradients, apply_sample_weighting,
                             compute_weights, stch_set_value)
@@ -84,6 +84,8 @@ class DataConfig:
     def __post_init__(self):
         if self.dataset not in ("mixture", "csv"):
             raise ConfigError(f"dataset must be mixture or csv, got {self.dataset!r}")
+        if self.groups < 1:
+            raise ConfigError(f"mixture.G must be >= 1, got {self.groups}")
         if self.partition not in ("dirichlet", "pathological"):
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.dataset == "csv" and not self.csv_path:
@@ -206,20 +208,6 @@ def build_problem(cfg: ExperimentConfig) -> tuple[list[ClientDataset], ModelSpec
     return clients, model_spec
 
 
-# Clients per block of the grid: bounds the kernel's temporaries, which grow
-# with block * K' * C * n, whatever M is.
-CLIENT_BLOCK = 256
-
-
-def _blocks(rows: ClientRows) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of at most CLIENT_BLOCK clients and their split sizes, largest
-    first: a block pads little, and its clients with batches left lead it."""
-    counts = rows.counts
-    by_size = np.argsort(-counts, kind="stable")
-    return [(ids, counts[ids])
-            for ids in np.split(by_size, range(CLIENT_BLOCK, len(counts), CLIENT_BLOCK))]
-
-
 def _batch_plan(counts: np.ndarray, batch_size: int):
     """Batches of min(batch_size, n_i) rows for clients of nonincreasing size:
     for each client, batch and slot, the position in the epoch's row order it
@@ -267,36 +255,17 @@ def local_training(spec, rows, thetas, epochs, batch_size, eta, batch_rng):
 
 
 def _uploads(gradient_mode, thetas, local, grads, eta):
-    """What each pair uploads: the lookahead gradient or the scaled local update."""
+    """What each pair uploads.
+
+    "lookahead": the full-train-set gradient at the locally updated point.
+    "delta": the accumulated local update (theta_broadcast - theta_local) / eta;
+    it coincides with the broadcast-point gradient at E=1 with a single full
+    batch, and keeps the total server movement comparable across (E, T)
+    budgets with T*E fixed.
+    """
     if gradient_mode not in ("lookahead", "delta"):
         raise ConfigError(f"unknown gradient_mode {gradient_mode!r}")
     return grads if gradient_mode == "lookahead" or eta == 0 else (thetas - local) / eta
-
-
-def client_round(
-    spec: ModelSpec,
-    client: ClientDataset,
-    theta_k: np.ndarray,
-    local_epochs: int,
-    batch_size: int,
-    eta: float,
-    rng: Rng,
-    gradient_mode: str = "lookahead",
-) -> tuple[np.ndarray, float]:
-    """Lookahead gradient and loss after E local epochs from the broadcast.
-
-    The locally updated parameters are discarded; only the full-train-set
-    gradient and loss at that point are reported.  gradient_mode="delta"
-    instead uploads (theta_broadcast - theta_local) / eta, the accumulated
-    local update direction; it coincides with the broadcast-point gradient
-    at E=1 with a single full batch, and keeps the total server movement
-    comparable across (E, T) budgets with T*E fixed.
-    """
-    rows = stack_rows(spec, [(client.train.features, client.train.labels)])
-    theta = np.asarray(theta_k, dtype=np.float64).reshape(1, 1, spec.dim)
-    local, losses, grads = local_training(spec, rows, theta, local_epochs, batch_size, eta,
-                                          lambda i, k: rng)
-    return _uploads(gradient_mode, theta, local, grads, eta)[0, 0], float(losses[0, 0])
 
 
 def _local_round(cfg: ExperimentConfig, spec, rows, grid, t: int, streams, models):
@@ -329,15 +298,6 @@ def _problem(cfg: ExperimentConfig, clients, spec) -> tuple[ModelSpec, np.ndarra
         raise ConfigError(f"config says M={cfg.clients} but {len(clients)} clients were built")
     sizes = np.array([c.train.n for c in clients], dtype=np.float64)
     return spec, sizes, stack_rows(spec, [(c.train.features, c.train.labels) for c in clients])
-
-
-def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows) -> np.ndarray:
-    """(M, K) losses of every model on every client's rows, block by block."""
-    losses = np.empty((rows.x.shape[0], len(models)))
-    for ids, counts in _blocks(rows):
-        grid = np.broadcast_to(models, (len(ids), *models.shape))
-        losses[ids] = grid_loss(spec, grid, rows[ids, :, : counts[0]])
-    return losses
 
 
 def _weighted(cfg: ExperimentConfig, raw_losses, grads, sizes):
@@ -482,24 +442,23 @@ def per_client_optimum(
     Oracle-grade only for the convex softmax-regression spec; the MLP gets
     whatever local minimum the descent finds.
     """
-    x, y = client.train.features, client.train.labels
-    theta = np.zeros(spec.dim)
-    f = loss(spec, theta, x, y)
+    rows = stack_rows(spec, [(client.train.features, client.train.labels)])
+    theta = np.zeros((1, 1, spec.dim))  # a grid of one pair
+    f, g = grid_loss_and_grad(spec, theta, rows)
     step = 1.0
     steps = 0
-    g = grad(spec, theta, x, y)
     gnorm = float(np.linalg.norm(g))
     while gnorm > tol and steps < budget:
         step = min(step * 2.0, 1e6)
         gg = gnorm * gnorm
         for _ in range(60):
             trial = theta - step * g
-            f_trial = loss(spec, trial, x, y)
-            if f_trial <= f - 1e-4 * step * gg:
+            f_trial = grid_loss(spec, trial, rows)
+            if f_trial[0, 0] <= f[0, 0] - 1e-4 * step * gg:
                 break
             step *= 0.5
-        theta, f = trial, f_trial
-        g = grad(spec, theta, x, y)
+        theta = trial
+        f, g = grid_loss_and_grad(spec, theta, rows)
         gnorm = float(np.linalg.norm(g))
         steps += 1
-    return OptimumResult(theta=theta, grad_norm=gnorm, steps=steps, converged=gnorm <= 1e-3)
+    return OptimumResult(theta=theta[0, 0], grad_norm=gnorm, steps=steps, converged=gnorm <= 1e-3)

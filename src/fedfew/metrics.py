@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientDataset, Dataset
-from .model import ModelSpec, loss, predict
+from .model import ModelSpec, _blocks, _grid_losses, grid_predict, stack_rows
 from .scalarization import ScalarizationWeights
 
 
@@ -26,11 +26,16 @@ class FairnessReport:
     jain_index: float
 
 
-def accuracy(spec: ModelSpec, theta, dataset: Dataset) -> float:
-    """Fraction of rows where the argmax prediction equals the label."""
-    if dataset.n < 1:
-        raise ValueError("cannot score an empty dataset")
-    return float(np.mean(predict(spec, theta, dataset.features) == dataset.labels))
+def accuracy(spec: ModelSpec, models, datasets: list[Dataset]) -> np.ndarray:
+    """(M,) fraction of the rows of datasets[i] where the argmax prediction of
+    models[i] (M, d) equals the label."""
+    rows = stack_rows(spec, [(d.features, d.labels) for d in datasets])
+    correct = np.empty(len(datasets), dtype=np.int64)
+    for ids, counts in _blocks(rows):
+        part = rows[ids, :, : counts[0]]
+        hits = (grid_predict(spec, models[ids, None], part) == part.labels) & (part.weights > 0)
+        correct[ids] = np.count_nonzero(hits[:, 0], axis=1)
+    return correct / rows.counts
 
 
 def jain_index(values) -> float:
@@ -55,6 +60,10 @@ def fairness_report(accuracies) -> FairnessReport:
     )
 
 
+def _train_rows(spec: ModelSpec, clients: list[ClientDataset]):
+    return stack_rows(spec, [(c.train.features, c.train.labels) for c in clients])
+
+
 def heterogeneity_delta(
     spec: ModelSpec, client_optima: list[np.ndarray], clients: list[ClientDataset]
 ) -> float:
@@ -62,13 +71,8 @@ def heterogeneity_delta(
 
     Full train losses; zero when every client shares the same optimum.
     """
-    own = [loss(spec, client_optima[i], c.train.features, c.train.labels) for i, c in enumerate(clients)]
-    worst = 0.0
-    for i, c in enumerate(clients):
-        for j in range(len(clients)):
-            cross = loss(spec, client_optima[j], c.train.features, c.train.labels)
-            worst = max(worst, cross - own[i])
-    return worst
+    cross = _grid_losses(spec, np.stack(client_optima), _train_rows(spec, clients))  # L_i(theta_j*)
+    return float(np.max(cross - np.diag(cross)[:, None]))
 
 
 def coverage_gap(
@@ -82,12 +86,10 @@ def coverage_gap(
     The clamp absorbs numerical noise from the approximate optimum solver;
     the true quantity is nonnegative by definition of the optimum.
     """
-    models = np.atleast_2d(np.asarray(models, dtype=np.float64))
-    gaps = np.empty(len(clients))
-    for i, c in enumerate(clients):
-        best = min(loss(spec, theta, c.train.features, c.train.labels) for theta in models)
-        own = loss(spec, client_optima[i], c.train.features, c.train.labels)
-        gaps[i] = max(0.0, best - own)
+    rows = _train_rows(spec, clients)
+    best = _grid_losses(spec, np.atleast_2d(models), rows).min(axis=1)
+    own = _grid_losses(spec, np.stack(client_optima)[:, None], rows)[:, 0]
+    gaps = np.maximum(0.0, best - own)
     return gaps, float(np.mean(gaps))
 
 

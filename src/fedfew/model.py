@@ -6,6 +6,10 @@ Parameters live in a single flat float64 vector with the bias folded in as
 an extra input column, so server-side aggregation stays plain vector
 arithmetic.
 
+One kernel scores every (client, model) pair of an (M, K') grid at once:
+grid_loss_and_grad for training and the oracle, grid_loss for selection and
+the evaluation metrics, grid_predict for accuracy.
+
 Flat layouts:
     softmax-regression: W of shape (C, p+1), row-major; column p is the bias.
     mlp-1hidden: W1 of shape (h, p+1) followed by W2 of shape (C, h+1).
@@ -48,87 +52,6 @@ class ModelSpec:
         if self.kind == SOFTMAX:
             return (p + 1) * c
         return (p + 1) * h + (h + 1) * c
-
-
-def _check_theta(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (spec.dim,):
-        raise ValueError(f"theta has shape {theta.shape}, spec requires ({spec.dim},)")
-    return theta
-
-
-def _check_batch(spec: ModelSpec, features, labels=None):
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"features have {x.shape[1]} columns, spec requires {spec.input_dim}")
-    if x.shape[0] < 1:
-        raise ValueError("batch must contain at least one row")
-    if labels is None:
-        return x, None
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (x.shape[0],):
-        raise ValueError("labels must be one integer per feature row")
-    if np.any(y < 0) or np.any(y >= spec.classes):
-        raise ValueError(f"labels must lie in [0, {spec.classes})")
-    return x, y
-
-
-def _augment(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((x.shape[0], 1))])
-
-
-def _forward(spec: ModelSpec, theta: np.ndarray, x: np.ndarray):
-    """Return (logits, hidden activations or None)."""
-    xa = _augment(x)
-    if spec.kind == SOFTMAX:
-        w = theta.reshape(spec.classes, spec.input_dim + 1)
-        return xa @ w.T, None
-    p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
-    n1 = (p + 1) * h
-    w1 = theta[:n1].reshape(h, p + 1)
-    w2 = theta[n1:].reshape(c, h + 1)
-    a = np.tanh(xa @ w1.T)
-    return _augment(a) @ w2.T, a
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def loss(spec: ModelSpec, theta, features, labels) -> float:
-    """Mean cross-entropy over the batch plus (l2_penalty / 2) * ||theta||^2."""
-    theta = _check_theta(spec, theta)
-    x, y = _check_batch(spec, features, labels)
-    logp = _log_softmax(_forward(spec, theta, x)[0])
-    data = -float(np.mean(logp[np.arange(x.shape[0]), y]))
-    return data + 0.5 * spec.l2_penalty * float(theta @ theta)
-
-
-def grad(spec: ModelSpec, theta, features, labels) -> np.ndarray:
-    """Exact analytic gradient of loss, same flat layout as theta."""
-    theta = _check_theta(spec, theta)
-    x, y = _check_batch(spec, features, labels)
-    n = x.shape[0]
-    xa = _augment(x)
-    logits, a = _forward(spec, theta, x)
-    probs = np.exp(_log_softmax(logits))
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    if spec.kind == SOFTMAX:
-        g = (delta.T @ xa).ravel()
-    else:
-        p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
-        n1 = (p + 1) * h
-        w2 = theta[n1:].reshape(c, h + 1)
-        aa = _augment(a)
-        g2 = delta.T @ aa
-        # backprop through tanh; drop the bias column of W2
-        da = (delta @ w2[:, :h]) * (1.0 - a * a)
-        g1 = da.T @ xa
-        g = np.concatenate([g1.ravel(), g2.ravel()])
-    return g + spec.l2_penalty * theta
 
 
 @dataclass(frozen=True)
@@ -174,7 +97,8 @@ def stack_rows(spec: ModelSpec, pairs) -> ClientRows:
     client = np.repeat(np.arange(len(counts)), counts)
     row = np.arange(len(client)) - np.repeat(np.cumsum(counts) - counts, counts)
     x = np.zeros((len(counts), 1, counts.max(), p + 1))
-    x[client, 0, row] = np.column_stack([np.concatenate(feats), np.ones(len(client))])
+    x[client, 0, row, :p] = np.concatenate(feats)
+    x[client, 0, row, p] = 1.0
     y = np.zeros(x.shape[:3], dtype=np.int64)
     y[client, 0, row] = flat_labels
     weights = np.zeros(x.shape[:3])
@@ -182,10 +106,8 @@ def stack_rows(spec: ModelSpec, pairs) -> ClientRows:
     return ClientRows(x, y, weights)
 
 
-def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
-    """loss of every pair (M, K'), plus what the gradient needs: the
-    exponentials of the shifted logits (M, K', C, n), their sums over classes,
-    the one-hot labels times row weights (M, G, C, n) and the hidden layer.
+def _grid_logits(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
+    """Logits of every pair (M, K', C, n) and the hidden layer (None for softmax).
 
     Classes sit on the second-to-last axis, so the reductions over the few
     classes run along contiguous rows of n values.
@@ -194,12 +116,20 @@ def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
     p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
     xt = rows.x.swapaxes(-1, -2)  # (M, G, p + 1, n)
     if spec.kind == SOFTMAX:
-        z, a = thetas.reshape(m, k, c, p + 1) @ xt, None
-    else:
-        n1 = (p + 1) * h
-        w2 = thetas[..., n1:].reshape(m, k, c, h + 1)
-        a = np.tanh(thetas[..., :n1].reshape(m, k, h, p + 1) @ xt)
-        z = w2[..., :h] @ a + w2[..., h:]
+        return thetas.reshape(m, k, c, p + 1) @ xt, None
+    n1 = (p + 1) * h
+    w2 = thetas[..., n1:].reshape(m, k, c, h + 1)
+    a = np.tanh(thetas[..., :n1].reshape(m, k, h, p + 1) @ xt)
+    return w2[..., :h] @ a + w2[..., h:], a
+
+
+def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
+    """loss of every pair (M, K'), plus what the gradient needs: the
+    exponentials of the shifted logits (M, K', C, n), their sums over classes,
+    the one-hot labels times row weights (M, G, C, n) and the hidden layer.
+    """
+    c = spec.classes
+    z, a = _grid_logits(spec, thetas, rows)
     z -= z.max(axis=-2, keepdims=True)
     e = np.exp(z)
     partition = e.sum(axis=-2, keepdims=True)
@@ -220,8 +150,7 @@ def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows) -> tuple[np.nd
     """loss (M, K') and grad (M, K', d) of every pair of the grid in one pass.
 
     thetas[i, k] is scored on the rows of client i: rows.x[i, 0] when G = 1,
-    rows.x[i, k] when G = K'.  Agrees with loss/grad per pair up to the
-    summation order.
+    rows.x[i, k] when G = K'.
     """
     m, k, _ = thetas.shape
     losses, delta, partition, target, a = _grid_forward(spec, thetas, rows)
@@ -240,29 +169,34 @@ def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows) -> tuple[np.nd
     return losses, g + spec.l2_penalty * thetas
 
 
-def predict(spec: ModelSpec, theta, features) -> np.ndarray:
-    """Argmax-class prediction per row; ties break toward the lowest index."""
-    theta = _check_theta(spec, theta)
-    x, _ = _check_batch(spec, features)
-    logits, _ = _forward(spec, theta, x)
-    return np.argmax(logits, axis=1)
+def grid_predict(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:
+    """Argmax class (M, K', n) of every pair's logits; ties go to the lowest
+    class index.  Padding rows get a prediction too: mask them by weight."""
+    return np.argmax(_grid_logits(spec, thetas, rows)[0], axis=-2)
 
 
-def finite_difference_grad(spec: ModelSpec, theta, features, labels, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, coordinate by coordinate."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    theta = _check_theta(spec, theta).copy()
-    out = np.empty_like(theta)
-    for j in range(theta.size):
-        orig = theta[j]
-        theta[j] = orig + step
-        hi = loss(spec, theta, features, labels)
-        theta[j] = orig - step
-        lo = loss(spec, theta, features, labels)
-        theta[j] = orig
-        out[j] = (hi - lo) / (2.0 * step)
-    return out
+# Clients per block of the grid: bounds the kernel's temporaries, which grow
+# with block * K' * C * n, whatever M is.
+CLIENT_BLOCK = 256
+
+
+def _blocks(rows: ClientRows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of at most CLIENT_BLOCK clients and their split sizes, largest
+    first: a block pads little, and its clients with batches left lead it."""
+    counts = rows.counts
+    by_size = np.argsort(-counts, kind="stable")
+    return [(ids, counts[ids])
+            for ids in np.split(by_size, range(CLIENT_BLOCK, len(counts), CLIENT_BLOCK))]
+
+
+def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows) -> np.ndarray:
+    """(M, K') losses on every client's rows, block by block: models (K', d)
+    are scored on every client, a grid (M, K', d) scores models[i] on client i."""
+    losses = np.empty((rows.x.shape[0], models.shape[-2]))
+    for ids, counts in _blocks(rows):
+        grid = models[ids] if models.ndim == 3 else np.broadcast_to(models, (len(ids), *models.shape))
+        losses[ids] = grid_loss(spec, grid, rows[ids, :, : counts[0]])
+    return losses
 
 
 def init_params(spec: ModelSpec, rng: Rng) -> np.ndarray:

@@ -30,7 +30,7 @@ from fedfew.federation import (
     select_models,
 )
 from fedfew.metrics import accuracy, coverage_gap, jain_index, weight_diagnostics
-from fedfew.model import ModelSpec, grad, init_params, loss
+from fedfew.model import ModelSpec, init_params
 from fedfew.numerics import Rng, log_sum_exp, smooth_min
 from fedfew.scalarization import (
     ScalarizationConfig,
@@ -40,6 +40,7 @@ from fedfew.scalarization import (
     stch_set_value,
     tch_set_value,
 )
+from perpair import grad, loss
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -74,15 +75,16 @@ def flagship_runs():
 
         models, _ = run_fedfew(cfg, clients, spec)
         sel = select_models(spec, models, clients).selected
-        fed_accs = [accuracy(spec, models[sel[i]], c.test) for i, c in enumerate(clients)]
+        tests = [c.test for c in clients]
+        fed_accs = accuracy(spec, models[sel], tests)
         purity = all(len(set(sel[groups == g].tolist())) == 1 for g in range(3))
 
         avg_models, _ = run_fedavg(flagship_cfg(seed, "fedavg", K=1), clients, spec)
-        avg_acc = float(np.mean([accuracy(spec, avg_models[0], c.test) for c in clients]))
+        avg_acc = float(np.mean(accuracy(spec, avg_models[np.zeros(len(clients), int)], tests)))
 
         ifca_models, _, _ = run_ifca(flagship_cfg(seed, "ifca"), clients, spec)
         sel_i = select_models(spec, ifca_models, clients).selected
-        ifca_accs = [accuracy(spec, ifca_models[sel_i[i]], c.test) for i, c in enumerate(clients)]
+        ifca_accs = accuracy(spec, ifca_models[sel_i], tests)
 
         out.append({
             "purity": purity,
@@ -368,8 +370,7 @@ def _tradeoff_accuracies(gradient_mode: str) -> dict[int, float]:
             models, traces = run_fedfew(cfg, clients, spec, gradient_mode=gradient_mode)
             assert sum(t.uploads for t in traces) == cfg.clients * cfg.models * cfg.rounds
             sel = select_models(spec, models, clients).selected
-            accs.append(np.mean([accuracy(spec, models[sel[i]], c.test)
-                                 for i, c in enumerate(clients)]))
+            accs.append(np.mean(accuracy(spec, models[sel], [c.test for c in clients])))
         means[E] = float(np.mean(accs))
     return means
 

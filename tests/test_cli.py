@@ -234,6 +234,13 @@ class TestMainExitCodes:
         assert f"config key {key}=" in err and f"{field} must be" in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("groups", ["0", "-1"])
+    def test_no_mixture_groups_is_config_error(self, tmp_path, capsys, groups):
+        path = write_cfg(tmp_path, BASE.replace("mixture.G=2", f"mixture.G={groups}"))
+        assert main(["run", str(path), "--out", str(tmp_path / "bad")]) == 2
+        assert "mixture.G" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_seed_beyond_64_bits_is_config_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE.replace("seed=11", f"seed={2**64}"))
         assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 2

@@ -58,7 +58,7 @@ class TestGenMixture:
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
         for client in gen_mixture(spec, Rng(1)):
             theta = per_client_optimum(mspec, client).theta
-            assert accuracy(mspec, theta, client.train) >= 0.99
+            assert accuracy(mspec, theta[None], [client.train])[0] >= 0.99
 
     def test_permuted_labels_are_exactly_contradictory(self):
         # shared clusters, swapped labels: pooling balanced groups gives each
@@ -80,7 +80,7 @@ class TestGenMixture:
         pooled = Dataset(feats, labels, 2)
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
         theta = per_client_optimum(mspec, ClientDataset(0, pooled, pooled)).theta
-        assert 0.45 <= accuracy(mspec, theta, pooled) <= 0.60
+        assert 0.45 <= accuracy(mspec, theta[None], [pooled])[0] <= 0.60
 
     def test_permutation_requires_enough_classes(self):
         with pytest.raises(ConfigError):

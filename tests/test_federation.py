@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedfew import federation
+from fedfew import model
 from fedfew.data import ClientDataset, Dataset, MixtureSpec, gen_mixture
 from fedfew.errors import ConfigError
 from fedfew.federation import (
@@ -14,7 +14,7 @@ from fedfew.federation import (
     ExperimentConfig,
     ModelConfig,
     build_problem,
-    client_round,
+    local_training,
     per_client_optimum,
     run_fedavg,
     run_fedfew,
@@ -24,7 +24,7 @@ from fedfew.federation import (
     uploads_per_round,
 )
 from fedfew.metrics import accuracy
-from fedfew.model import ModelSpec, grad, init_params, loss
+from fedfew.model import ModelSpec, init_params, stack_rows
 from fedfew.numerics import Rng
 from fedfew.scalarization import (
     ScalarizationConfig,
@@ -32,6 +32,7 @@ from fedfew.scalarization import (
     apply_sample_weighting,
     compute_weights,
 )
+from perpair import grad, loss, optimum
 
 SPEC = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-3)
 
@@ -54,11 +55,20 @@ def small_cfg(method="fedfew", K=2, rounds=4, seed=3, **data_kw):
                             model=ModelConfig(l2_penalty=1e-3), data=data)
 
 
+def client_round(client, theta, epochs, batch_size, eta, rng):
+    """One client's local round: local_training on a grid of one pair, whose
+    batches all come from rng.  Returns the uploaded gradient and the loss."""
+    rows = stack_rows(SPEC, [(client.train.features, client.train.labels)])
+    _, losses, grads = local_training(SPEC, rows, theta[None, None], epochs, batch_size, eta,
+                                      lambda i, k: rng)
+    return grads[0, 0], float(losses[0, 0])
+
+
 class TestClientRound:
     def test_zero_learning_rate_returns_broadcast_gradient(self):
         client = make_client()
         theta = init_params(SPEC, Rng(1))
-        g, lv = client_round(SPEC, client, theta, 3, 8, 0.0, Rng(2))
+        g, lv = client_round(client, theta, 3, 8, 0.0, Rng(2))
         expected = grad(SPEC, theta, client.train.features, client.train.labels)
         np.testing.assert_allclose(g, expected, atol=1e-15)
 
@@ -66,7 +76,7 @@ class TestClientRound:
         client = make_client()
         theta = init_params(SPEC, Rng(1))
         eta = 0.3
-        g, _ = client_round(SPEC, client, theta, 1, 10_000, eta, Rng(2))
+        g, _ = client_round(client, theta, 1, 10_000, eta, Rng(2))
         x, y = client.train.features, client.train.labels
         lookahead = theta - eta * grad(SPEC, theta, x, y)
         np.testing.assert_allclose(g, grad(SPEC, lookahead, x, y), atol=1e-15)
@@ -74,8 +84,8 @@ class TestClientRound:
     def test_deterministic(self):
         client = make_client()
         theta = init_params(SPEC, Rng(1))
-        a = client_round(SPEC, client, theta, 2, 4, 0.1, Rng(0).split(STREAM_BATCH, 1, 0, 0))
-        b = client_round(SPEC, client, theta, 2, 4, 0.1, Rng(0).split(STREAM_BATCH, 1, 0, 0))
+        a = client_round(client, theta, 2, 4, 0.1, Rng(0).split(STREAM_BATCH, 1, 0, 0))
+        b = client_round(client, theta, 2, 4, 0.1, Rng(0).split(STREAM_BATCH, 1, 0, 0))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
@@ -126,7 +136,7 @@ class TestRunFedfew:
         theta = init_params(SPEC, Rng(9).split(1, 0))  # the runner's init stream
         eta = 0.1
         lookahead_grads = np.stack([
-            client_round(SPEC, c, theta, 1, 10_000, eta, Rng(0))[0] for c in clients
+            client_round(c, theta, 1, 10_000, eta, Rng(0))[0] for c in clients
         ])
         weighted_mean = (sizes / sizes.sum()) @ lookahead_grads
 
@@ -268,8 +278,8 @@ class TestRunLocal:
                                    model=ModelConfig(l2_penalty=1e-4), data=data)
             clients, spec = build_problem(cfg)
             thetas, _ = run_local(cfg, clients, spec)
-            tr = np.mean([accuracy(spec, thetas[i], c.train) for i, c in enumerate(clients)])
-            va = np.mean([accuracy(spec, thetas[i], c.validation) for i, c in enumerate(clients)])
+            tr = np.mean(accuracy(spec, thetas, [c.train for c in clients]))
+            va = np.mean(accuracy(spec, thetas, [c.validation for c in clients]))
             diffs.append(tr - va)
         assert np.mean(diffs) >= 0.0
 
@@ -300,7 +310,6 @@ class TestPerClientOptimum:
     def test_beats_random_probes(self):
         client = make_client(seed=7)
         result = per_client_optimum(SPEC, client)
-        from fedfew.model import loss
         best = loss(SPEC, result.theta, client.train.features, client.train.labels)
         rng = Rng(11)
         for _ in range(100):
@@ -308,8 +317,18 @@ class TestPerClientOptimum:
             assert best <= loss(SPEC, probe, client.train.features, client.train.labels) + 1e-12
 
 
+    @pytest.mark.parametrize("n", [3, 24, 61])
+    def test_same_descent_as_per_pair_solver(self, n):
+        # clients of unequal size: the same steps and the same optimum
+        client = make_client(seed=n, n=n + 4)
+        result = per_client_optimum(SPEC, client)
+        theta, steps = optimum(SPEC, client.train.features, client.train.labels)
+        assert result.steps == steps
+        np.testing.assert_allclose(result.theta, theta, rtol=0, atol=1e-12)
+
+
 # ----------------------------------------------------------------------
-# the batched round engine against a per-task loop built from model.grad
+# the batched round engine against a per-task loop built from the per-pair grad
 # ----------------------------------------------------------------------
 
 MLP_SPEC = ModelSpec("mlp-1hidden", input_dim=2, classes=2, hidden_dim=3, l2_penalty=1e-3)
@@ -371,7 +390,7 @@ class TestBatchedEngine:
 
     def test_blocks_of_sorted_clients_match_task_loop(self, monkeypatch):
         # blocks of 3: the largest three clients, then the smallest
-        monkeypatch.setattr(federation, "CLIENT_BLOCK", 3)
+        monkeypatch.setattr(model, "CLIENT_BLOCK", 3)
         cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
         models, _ = run_fedfew(cfg, clients, MLP_SPEC)
         expected = loop_fedfew(cfg, clients, MLP_SPEC, "lookahead")

@@ -17,8 +17,9 @@ from fedfew.metrics import (
     jain_index,
     weight_diagnostics,
 )
-from fedfew.model import ModelSpec
+from fedfew.model import ModelSpec, init_params
 from fedfew.numerics import Rng
+from perpair import logits, loss
 from fedfew.scalarization import ScalarizationConfig, ScalarizationWeights, compute_weights, loss_matrix
 
 SOFTMAX2 = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-4)
@@ -33,17 +34,50 @@ def toy_dataset(labels):
 class TestAccuracy:
     def test_all_class_zero_with_zero_parameters(self):
         d = toy_dataset(np.zeros(6, dtype=int))
-        assert accuracy(SOFTMAX2, np.zeros(SOFTMAX2.dim), d) == 1.0
+        assert accuracy(SOFTMAX2, np.zeros((1, SOFTMAX2.dim)), [d])[0] == 1.0
 
     def test_balanced_data_zero_parameters(self):
         spec = ModelSpec("softmax-regression", input_dim=2, classes=4)
         d = Dataset(Rng(0).normal(size=(40, 2)), np.tile(np.arange(4), 10), 4)
-        assert accuracy(spec, np.zeros(spec.dim), d) == pytest.approx(0.25)
+        assert accuracy(spec, np.zeros((1, spec.dim)), [d])[0] == pytest.approx(0.25)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            accuracy(SOFTMAX2, np.zeros(SOFTMAX2.dim),
-                     Dataset(np.zeros((1, 2)), np.zeros(1, int), 2).subset([]))
+            accuracy(SOFTMAX2, np.zeros((1, SOFTMAX2.dim)),
+                     [Dataset(np.zeros((1, 2)), np.zeros(1, int), 2).subset([])])
+
+    def test_padding_rows_never_count(self):
+        # every row is wrong, so the padding of the shorter client (label 0,
+        # zero features, predicted class 0 by zero parameters) must not count
+        spec = ModelSpec("softmax-regression", input_dim=2, classes=3)
+        short = Dataset(np.ones((2, 2)), np.array([1, 2]), 3)
+        long = Dataset(np.ones((7, 2)), np.full(7, 2), 3)
+        accs = accuracy(spec, np.zeros((2, spec.dim)), [short, long])
+        np.testing.assert_array_equal(accs, [0.0, 0.0])
+
+    def test_tie_goes_to_the_lowest_class(self):
+        # classes 1 and 2 share the largest logit on every row; class 0 is lower
+        spec = ModelSpec("softmax-regression", input_dim=1, classes=3)
+        theta = np.array([-1.0, 0.0, 1.0, 0.0, 1.0, 0.0])  # W rows (weight, bias)
+        x = np.array([[1.0], [2.0], [0.5]])
+        d1 = Dataset(x, np.array([1, 1, 1]), 3)
+        d2 = Dataset(x[:2], np.array([2, 2]), 3)
+        accs = accuracy(spec, np.stack([theta, theta]), [d1, d2])
+        np.testing.assert_array_equal(accs, [1.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+    def test_matches_reference_argmax_on_unequal_clients(self, kind):
+        spec = ModelSpec(kind, input_dim=3, classes=4,
+                         hidden_dim=5 if kind == "mlp-1hidden" else 0)
+        rng = Rng(8)
+        datasets = [Dataset(rng.split(1, i).normal(size=(n, 3)),
+                            rng.split(2, i).integers(0, 4, size=n), 4)
+                    for i, n in enumerate((1, 17, 5, 40, 9))]
+        models = np.stack([init_params(spec, rng.split(3, i)) for i in range(len(datasets))])
+        accs = accuracy(spec, models, datasets)
+        expected = [np.mean(np.argmax(logits(spec, models[i], d.features), axis=1) == d.labels)
+                    for i, d in enumerate(datasets)]
+        np.testing.assert_array_equal(accs, expected)
 
 
 class TestJainIndex:
@@ -84,6 +118,18 @@ def two_group_contradictory_clients(n=120):
     return gen_mixture(spec, Rng(3))
 
 
+def unequal_clients():
+    """Clients of 5, 12, 30 and 47 train rows, two groups with swapped labels."""
+    clients = []
+    for i, n in enumerate((5, 12, 30, 47)):
+        rng = Rng(40 + i)
+        x = rng.normal(size=(n, 2))
+        y = ((x[:, 0] > 0) ^ (i % 2)).astype(int)
+        d = Dataset(x, y, 2)
+        clients.append(ClientDataset(i, d, d))
+    return clients
+
+
 class TestHeterogeneityDelta:
     def test_identical_clients_give_zero(self):
         d = toy_dataset(np.array([0, 1] * 10))
@@ -105,7 +151,31 @@ class TestHeterogeneityDelta:
         assert heterogeneity_delta(SOFTMAX2, optima, clients) >= math.log(2.0) - 0.1
 
 
+    def test_matches_reference_loop(self):
+        clients = unequal_clients()
+        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
+        worst = 0.0
+        for i, c in enumerate(clients):
+            own = loss(SOFTMAX2, optima[i], c.train.features, c.train.labels)
+            for theta in optima:
+                worst = max(worst, loss(SOFTMAX2, theta, c.train.features, c.train.labels) - own)
+        assert heterogeneity_delta(SOFTMAX2, optima, clients) == pytest.approx(worst, abs=1e-12)
+
+
 class TestCoverageGap:
+    def test_matches_reference_loop(self):
+        clients = unequal_clients()
+        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
+        models = np.stack([optima[0], optima[3], np.zeros(SOFTMAX2.dim)])
+        gaps, mean_gap = coverage_gap(SOFTMAX2, models, optima, clients)
+        expected = [max(0.0, min(loss(SOFTMAX2, th, c.train.features, c.train.labels)
+                                 for th in models)
+                        - loss(SOFTMAX2, optima[i], c.train.features, c.train.labels))
+                    for i, c in enumerate(clients)]
+        np.testing.assert_allclose(gaps, expected, rtol=0, atol=1e-12)
+        assert mean_gap == pytest.approx(float(np.mean(expected)), abs=1e-12)
+        assert np.any(gaps > 0)
+
     def test_zero_when_every_optimum_is_in_the_set(self):
         clients = two_group_contradictory_clients(n=60)
         optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]

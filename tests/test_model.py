@@ -1,4 +1,4 @@
-"""Classifier losses, analytic gradients, and the finite-difference oracle."""
+"""The grid kernel: losses, gradients against finite differences, predictions."""
 
 import math
 
@@ -7,16 +7,14 @@ import pytest
 
 from fedfew.model import (
     ModelSpec,
-    finite_difference_grad,
-    grad,
     grid_loss,
     grid_loss_and_grad,
+    grid_predict,
     init_params,
-    loss,
-    predict,
     stack_rows,
 )
 from fedfew.numerics import Rng
+from perpair import finite_difference_grad, grad, logits, loss
 
 
 def random_instance(seed, kind="softmax-regression", p=3, classes=3, hidden=4, l2=1e-3):
@@ -30,19 +28,53 @@ def random_instance(seed, kind="softmax-regression", p=3, classes=3, hidden=4, l
     return spec, theta, x, y
 
 
+def pair_loss(spec, theta, x, y) -> float:
+    """The kernel on a grid of one pair."""
+    return float(grid_loss(spec, np.asarray(theta, float)[None, None], stack_rows(spec, [(x, y)]))[0, 0])
+
+
+def pair_grad(spec, theta, x, y) -> np.ndarray:
+    rows = stack_rows(spec, [(x, y)])
+    return grid_loss_and_grad(spec, np.asarray(theta, float)[None, None], rows)[1][0, 0]
+
+
+def grid_instance(kind, seed=0, m=4, k=3):
+    """Clients of 1, 6, 13 and 9 rows sharing one padded stack, k models each."""
+    rng = Rng(seed)
+    spec = ModelSpec(kind, input_dim=3, classes=4,
+                     hidden_dim=5 if kind == "mlp-1hidden" else 0, l2_penalty=1e-3)
+    sizes = [1, 6, 13, 9][:m]
+    pairs = [(rng.split(1, i).normal(size=(n, 3)), rng.split(2, i).integers(0, 4, size=n))
+             for i, n in enumerate(sizes)]
+    thetas = np.stack([[init_params(spec, rng.split(3, i, j)) for j in range(k)]
+                       for i in range(m)])
+    return spec, pairs, thetas
+
+
+def grid_fd(spec, thetas, rows, step):
+    """Central differences of every pair of the grid at once."""
+    return finite_difference_grad(lambda th: grid_loss(spec, th, rows), thetas, step=step)
+
+
+def assert_close_per_pair(g, fd, rel):
+    """Every pair's finite-difference gradient within rel * max(1, |g|) of g."""
+    err = np.linalg.norm(g - fd, axis=-1)
+    assert np.all(err <= rel * np.maximum(1.0, np.linalg.norm(g, axis=-1)))
+
+
 class TestLoss:
     def test_zero_parameters_give_log_classes(self):
         for c in (2, 3, 7):
             spec = ModelSpec("softmax-regression", input_dim=4, classes=c, l2_penalty=0.0)
             x = Rng(0).normal(size=(5, 4))
             y = np.arange(5) % c
-            assert loss(spec, np.zeros(spec.dim), x, y) == pytest.approx(math.log(c), abs=1e-12)
+            assert pair_loss(spec, np.zeros(spec.dim), x, y) == pytest.approx(math.log(c), abs=1e-12)
 
     def test_hand_computed_binary_case(self):
         # logits [ln 3, 0] for true class 0: loss = -log(3/4) = log(4/3)
         spec = ModelSpec("softmax-regression", input_dim=1, classes=2, l2_penalty=0.0)
         theta = np.array([math.log(3.0), 0.0, 0.0, 0.0])  # class-0 weight ln3, rest zero
-        value = loss(spec, theta, np.array([[1.0]]), np.array([0]))
+        value = pair_loss(spec, theta, np.array([[1.0]]), np.array([0]))
         assert value == pytest.approx(0.28768207245178085, abs=1e-12)
 
     def test_l2_term_is_half_squared_norm(self):
@@ -50,39 +82,35 @@ class TestLoss:
         spec1 = ModelSpec("softmax-regression", input_dim=1, classes=2, l2_penalty=1.0)
         theta = np.array([3.0, 4.0, 0.0, 0.0])
         x, y = np.array([[0.5]]), np.array([1])
-        assert loss(spec1, theta, x, y) - loss(spec0, theta, x, y) == pytest.approx(12.5, abs=1e-12)
+        assert (pair_loss(spec1, theta, x, y) - pair_loss(spec0, theta, x, y)
+                == pytest.approx(12.5, abs=1e-12))
 
     def test_nonnegative_and_permutation_invariant(self):
         spec, theta, x, y = random_instance(5)
-        base = loss(spec, theta, x, y)
+        base = pair_loss(spec, theta, x, y)
         assert base >= 0.0
         perm = Rng(1).permutation(len(y))
-        assert loss(spec, theta, x[perm], y[perm]) == pytest.approx(base, rel=1e-12)
+        assert pair_loss(spec, theta, x[perm], y[perm]) == pytest.approx(base, rel=1e-12)
 
-    def test_dimension_mismatch_rejected(self):
+    def test_stacking_rejects_bad_rows(self):
         spec = ModelSpec("softmax-regression", input_dim=2, classes=2)
-        with pytest.raises(ValueError):
-            loss(spec, np.zeros(5), np.zeros((1, 2)), np.array([0]))
-        with pytest.raises(ValueError):
-            loss(spec, np.zeros(spec.dim), np.zeros((1, 3)), np.array([0]))
-        with pytest.raises(ValueError):
-            loss(spec, np.zeros(spec.dim), np.zeros((1, 2)), np.array([5]))
+        with pytest.raises(ValueError):  # a feature count the spec does not have
+            stack_rows(spec, [(np.zeros((1, 3)), np.array([0]))])
+        with pytest.raises(ValueError):  # clients disagree on the feature count
+            stack_rows(spec, [(np.zeros((2, 2)), np.array([0, 1])), (np.zeros((1, 3)), np.array([0]))])
+        for label in (2, 5, -1):  # labels outside [0, classes)
+            with pytest.raises(ValueError):
+                stack_rows(spec, [(np.zeros((1, 2)), np.array([label]))])
 
 
 class TestGrad:
-    def test_matches_finite_differences_softmax(self):
+    @pytest.mark.parametrize("kind, rel", [("softmax-regression", 1e-5), ("mlp-1hidden", 1e-4)])
+    def test_grid_matches_finite_differences(self, kind, rel):
         for seed in range(10):
-            spec, theta, x, y = random_instance(seed)
-            g = grad(spec, theta, x, y)
-            fd = finite_difference_grad(spec, theta, x, y, step=1e-5)
-            assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
-
-    def test_matches_finite_differences_mlp(self):
-        for seed in range(10):
-            spec, theta, x, y = random_instance(seed, kind="mlp-1hidden")
-            g = grad(spec, theta, x, y)
-            fd = finite_difference_grad(spec, theta, x, y, step=1e-5)
-            assert np.linalg.norm(g - fd) <= 1e-4 * max(1.0, np.linalg.norm(g))
+            spec, pairs, thetas = grid_instance(kind, seed=seed)
+            rows = stack_rows(spec, pairs)
+            g = grid_loss_and_grad(spec, thetas, rows)[1]
+            assert_close_per_pair(g, grid_fd(spec, thetas, rows, 1e-5), rel)
 
     def test_class_swap_antisymmetry_at_zero(self):
         # balanced two-class batch, symmetric under label swap: the two class
@@ -90,48 +118,55 @@ class TestGrad:
         spec = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=0.0)
         x = np.array([[1.0, -0.5], [1.0, -0.5]])
         y = np.array([0, 1])
-        g = grad(spec, np.zeros(spec.dim), x, y).reshape(2, 3)
+        g = pair_grad(spec, np.zeros(spec.dim), x, y).reshape(2, 3)
         np.testing.assert_allclose(g[0], -g[1], atol=1e-15)
 
     def test_l2_direction_is_linear(self):
         spec0, theta, x, y = random_instance(3, l2=0.0)
         lam = 0.37
         spec1 = ModelSpec(spec0.kind, spec0.input_dim, spec0.classes, l2_penalty=lam)
-        diff = grad(spec1, theta, x, y) - grad(spec0, theta, x, y)
+        diff = pair_grad(spec1, theta, x, y) - pair_grad(spec0, theta, x, y)
         np.testing.assert_allclose(diff, lam * theta, atol=1e-14)
 
     def test_gradient_dimension_matches_spec(self):
         for kind in ("softmax-regression", "mlp-1hidden"):
-            spec, theta, x, y = random_instance(2, kind=kind)
-            assert grad(spec, theta, x, y).shape == (spec.dim,)
+            spec, pairs, thetas = grid_instance(kind)
+            g = grid_loss_and_grad(spec, thetas, stack_rows(spec, pairs))[1]
+            assert g.shape == (*thetas.shape[:2], spec.dim)
 
     def test_norm_small_at_descent_optimum(self):
         # convex instance driven to its optimum by plain gradient descent
         spec, _, x, y = random_instance(7, p=2, classes=2, l2=0.05)
-        theta = np.zeros(spec.dim)
+        rows = stack_rows(spec, [(x, y)])
+        theta = np.zeros((1, 1, spec.dim))
         for _ in range(10000):
-            theta -= 0.5 * grad(spec, theta, x, y)
-        assert np.linalg.norm(grad(spec, theta, x, y)) <= 1e-4
+            theta -= 0.5 * grid_loss_and_grad(spec, theta, rows)[1]
+        assert np.linalg.norm(grid_loss_and_grad(spec, theta, rows)[1]) <= 1e-4
 
 
 class TestPredict:
     def test_zero_parameters_tie_break_to_class_zero(self):
         spec = ModelSpec("softmax-regression", input_dim=3, classes=4)
         x = Rng(2).normal(size=(10, 3))
-        np.testing.assert_array_equal(predict(spec, np.zeros(spec.dim), x), np.zeros(10, int))
+        rows = stack_rows(spec, [(x, np.zeros(10, int))])
+        np.testing.assert_array_equal(grid_predict(spec, np.zeros((1, 1, spec.dim)), rows),
+                                      np.zeros((1, 1, 10), int))
 
     def test_dominant_logit(self):
         spec = ModelSpec("softmax-regression", input_dim=1, classes=2)
         theta = np.array([0.0, 0.0, 1.0, 0.0])  # positive weight on class 1 only
-        assert predict(spec, theta, np.array([[10.0]]))[0] == 1
+        rows = stack_rows(spec, [(np.array([[10.0]]), np.array([0]))])
+        assert grid_predict(spec, theta[None, None], rows)[0, 0, 0] == 1
 
-    def test_agrees_with_probability_argmax(self):
-        # softmax is monotone, so the most probable class has the largest logit
-        spec, theta, _, _ = random_instance(11, classes=4)
-        x = Rng(4).normal(size=(100, 3))
-        w = theta.reshape(spec.classes, spec.input_dim + 1)  # bias in the last column
-        logits = x @ w[:, :-1].T + w[:, -1]
-        np.testing.assert_array_equal(predict(spec, theta, x), np.argmax(logits, axis=1))
+    @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+    def test_agrees_with_reference_logits(self, kind):
+        # every pair of a grid over unequal clients, against the per-pair logits
+        spec, pairs, thetas = grid_instance(kind, seed=4)
+        pred = grid_predict(spec, thetas, stack_rows(spec, pairs))
+        for i, (x, _) in enumerate(pairs):
+            for k in range(thetas.shape[1]):
+                np.testing.assert_array_equal(pred[i, k, : len(x)],
+                                              np.argmax(logits(spec, thetas[i, k], x), axis=1))
 
 
 class TestFiniteDifference:
@@ -141,38 +176,25 @@ class TestFiniteDifference:
         spec = ModelSpec("softmax-regression", input_dim=1, classes=2, l2_penalty=2.0)
         theta = np.array([50.0, -30.0, 20.0, -10.0])
         x, y = np.array([[0.0]]), np.array([0])
-        fd = finite_difference_grad(spec, theta, x, y, step=1e-4)
-        g = grad(spec, theta, x, y)
-        np.testing.assert_allclose(fd, g, rtol=1e-7, atol=1e-6)
+        fd = finite_difference_grad(lambda th: pair_loss(spec, th, x, y), theta, step=1e-4)
+        np.testing.assert_allclose(fd, pair_grad(spec, theta, x, y), rtol=1e-7, atol=1e-6)
 
-    def test_two_step_sizes_agree_with_analytic(self):
+    @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+    def test_two_step_sizes_agree_with_analytic(self, kind):
         for seed in range(25):
-            spec, theta, x, y = random_instance(seed, kind="softmax-regression")
-            g = grad(spec, theta, x, y)
+            spec, pairs, thetas = grid_instance(kind, seed=100 + seed)
+            rows = stack_rows(spec, pairs)
+            g = grid_loss_and_grad(spec, thetas, rows)[1]
             for step in (1e-4, 1e-5):
-                fd = finite_difference_grad(spec, theta, x, y, step=step)
-                assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
-        for seed in range(25):
-            spec, theta, x, y = random_instance(seed, kind="mlp-1hidden")
-            g = grad(spec, theta, x, y)
-            for step in (1e-4, 1e-5):
-                fd = finite_difference_grad(spec, theta, x, y, step=step)
-                assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
+                assert_close_per_pair(g, grid_fd(spec, thetas, rows, step), 1e-4)
 
     def test_halving_the_step_shrinks_error_about_fourfold(self):
-        spec, theta, x, y = random_instance(13, kind="mlp-1hidden")
-        g = grad(spec, theta, x, y)
-        err = {}
-        for step in (2e-3, 1e-3):
-            fd = finite_difference_grad(spec, theta, x, y, step=step)
-            err[step] = np.linalg.norm(fd - g)
+        spec, pairs, thetas = grid_instance("mlp-1hidden", seed=13)
+        rows = stack_rows(spec, pairs)
+        g = grid_loss_and_grad(spec, thetas, rows)[1]
+        err = {step: np.linalg.norm(grid_fd(spec, thetas, rows, step) - g) for step in (2e-3, 1e-3)}
         ratio = err[2e-3] / err[1e-3]
         assert 2.5 <= ratio <= 6.0
-
-    def test_step_must_be_positive(self):
-        spec, theta, x, y = random_instance(0)
-        with pytest.raises(ValueError):
-            finite_difference_grad(spec, theta, x, y, step=0.0)
 
 
 class TestInit:
@@ -187,23 +209,11 @@ class TestInit:
 
 
 class TestGridKernel:
-    """The batched kernel against loss/grad, pair by pair."""
-
-    @staticmethod
-    def instance(kind, seed=0, m=4, k=3):
-        rng = Rng(seed)
-        spec = ModelSpec(kind, input_dim=3, classes=4,
-                         hidden_dim=5 if kind == "mlp-1hidden" else 0, l2_penalty=1e-3)
-        sizes = [1, 6, 13, 9][:m]  # unequal clients share one padded stack
-        pairs = [(rng.split(1, i).normal(size=(n, 3)), rng.split(2, i).integers(0, 4, size=n))
-                 for i, n in enumerate(sizes)]
-        thetas = np.stack([[init_params(spec, rng.split(3, i, j)) for j in range(k)]
-                           for i in range(m)])
-        return spec, pairs, thetas
+    """The batched kernel against the per-pair reference loss/grad."""
 
     @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
     def test_whole_splits_match_per_pair(self, kind):
-        spec, pairs, thetas = self.instance(kind)
+        spec, pairs, thetas = grid_instance(kind)
         rows = stack_rows(spec, pairs)
         losses, grads = grid_loss_and_grad(spec, thetas, rows)
         np.testing.assert_array_equal(grid_loss(spec, thetas, rows), losses)
@@ -215,7 +225,7 @@ class TestGridKernel:
 
     @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
     def test_per_task_batches_match_per_pair(self, kind):
-        spec, pairs, thetas = self.instance(kind, seed=1)
+        spec, pairs, thetas = grid_instance(kind, seed=1)
         rows = stack_rows(spec, pairs)
         counts = np.array([len(y) for _, y in pairs])
         rng = Rng(5)
@@ -231,10 +241,3 @@ class TestGridKernel:
                 np.testing.assert_allclose(grads[i, k],
                                            grad(spec, thetas[i, k], x[rows_ik], y[rows_ik]),
                                            rtol=0, atol=1e-12)
-
-    def test_stacking_validates_once(self):
-        spec = ModelSpec("softmax-regression", input_dim=2, classes=2)
-        with pytest.raises(ValueError):
-            stack_rows(spec, [(np.zeros((2, 2)), np.array([0, 1])), (np.zeros((1, 3)), np.array([0]))])
-        with pytest.raises(ValueError):
-            stack_rows(spec, [(np.zeros((1, 2)), np.array([2]))])
