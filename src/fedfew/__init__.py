@@ -12,8 +12,8 @@ from .numerics import Rng, log_sum_exp, smooth_min, softmin_weights
 from .model import ModelSpec, init_params
 from .data import (
     ClientDataset,
+    DataConfig,
     Dataset,
-    MixtureSpec,
     dirichlet_partition,
     gen_mixture,
     load_csv,
@@ -33,7 +33,6 @@ from .scalarization import (
 )
 from .federation import (
     AssignmentResult,
-    DataConfig,
     ExperimentConfig,
     ModelConfig,
     OptimumResult,

@@ -22,9 +22,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from .data import DataConfig
 from .errors import ConfigError
 from .federation import (
-    DataConfig,
     ExperimentConfig,
     ModelConfig,
     build_problem,
@@ -216,11 +216,11 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict:
     """Run one configured experiment and write its output files.
 
-    Returns the summary row as a dict for programmatic callers.  On any
-    error, files already written to out_dir are removed before re-raising.
+    Returns the summary row as a dict for programmatic callers.  out_dir is
+    made only once everything is computed, so a run that fails writes
+    nothing; if a write fails, the files already written are removed.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         clients, spec = build_problem(cfg)
@@ -265,6 +265,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
         config_text = canonical_text(cfg)
         checksum = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
 
+        out.mkdir(parents=True, exist_ok=True)
         path = out / "trace.csv"
         _write_csv(path, ["round", "stch_value", *k_cols, "alpha_cv",
                           "w_entropy_mean", "w_max_mean", "uploads_count"], trace_rows)
@@ -297,7 +298,9 @@ def run_ablation(config_path, axis: str, out_dir, oracle: bool = False,
                  seed: int | None = None) -> list[dict]:
     """One run per axis value with a shared seed, plus an aggregate table.
 
-    Every value is parsed and its config validated before the first run.
+    Every value is parsed and its config validated before the first run; the
+    data and model do not depend on the axis, so a bad data or model value
+    fails the first run, before anything is written.
     """
     if axis not in _ABLATION_AXES:
         raise ConfigError(f"axis must be one of {tuple(_ABLATION_AXES)}, got {axis!r}")
@@ -321,7 +324,6 @@ def run_ablation(config_path, axis: str, out_dir, oracle: bool = False,
             cfg = replace(cfg, rounds=total_updates // value)
         runs.append((key.value.show(value), cfg))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for label, cfg in runs:
         summary = run_experiment(cfg, out / f"{axis}_{label}", oracle=oracle)

@@ -2,16 +2,16 @@
 
 The mixture generator produces grouped clients whose class-conditional
 feature clusters sit on a circle with minimum pairwise distance equal to
-``class_mean_separation`` (deterministic geometry; randomness enters only
-through noise draws and label order).  With ``label_permutation_per_group``
-the groups share the same feature clusters but relabel them by cyclic
-shifts, so no single model can fit two groups at once.
+``separation`` (deterministic geometry; randomness enters only through noise
+draws and label order).  With ``permute_labels`` the groups share the same
+feature clusters but relabel them by cyclic shifts, so no single model can
+fit two groups at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,39 +71,53 @@ class ClientDataset:
 
 
 @dataclass
-class MixtureSpec:
-    latent_groups: int
-    clients_per_group: list[int] = field(default_factory=list)
+class DataConfig:
+    """Where the clients come from: a Gaussian mixture or a partitioned CSV.
+
+    Values are checked here; checks that need M or the CSV's rows are made
+    where those are known (gen_mixture, the partitioners).  Errors name the
+    config key.
+    """
+
+    dataset: str = "mixture"
+    # mixture
+    groups: int = 1
+    clients_per_group: list[int] | None = None  # None: M spread evenly
     input_dim: int = 2
     classes: int = 2
-    class_mean_separation: float = 1.0
+    separation: float = 1.0
     noise_std: float = 0.2
     samples_per_client: int = 100
-    label_permutation_per_group: bool = False
+    permute_labels: bool = False
+    # csv
+    csv_path: str = ""
+    partition: str = "dirichlet"
+    dirichlet_alpha: float = 0.5
+    classes_per_client: int = 2
 
     def __post_init__(self):
-        if self.latent_groups < 1:
-            raise ConfigError("latent_groups must be >= 1")
-        if not self.clients_per_group:
-            raise ConfigError("clients_per_group must be non-empty")
-        if any(c < 1 for c in self.clients_per_group):
-            raise ConfigError("clients_per_group entries must be positive")
-        if len(self.clients_per_group) != self.latent_groups:
-            raise ConfigError("clients_per_group must list one count per group")
-        if self.input_dim < 1 or self.classes < 2:
-            raise ConfigError("need input_dim >= 1 and classes >= 2")
-        if self.class_mean_separation <= 0 or self.noise_std <= 0:
-            raise ConfigError("separation and noise_std must be positive")
+        if self.dataset not in ("mixture", "csv"):
+            raise ConfigError(f"dataset must be mixture or csv, got {self.dataset!r}")
+        if self.groups < 1:
+            raise ConfigError(f"mixture.G must be >= 1, got {self.groups}")
+        if self.input_dim < 1:
+            raise ConfigError(f"mixture.input_dim must be >= 1, got {self.input_dim}")
+        if self.classes < 2:
+            raise ConfigError(f"mixture.classes must be >= 2, got {self.classes}")
+        if self.separation <= 0:
+            raise ConfigError(f"mixture.sep must be positive, got {self.separation:g}")
+        if self.noise_std <= 0:
+            raise ConfigError(f"mixture.noise must be positive, got {self.noise_std:g}")
         if self.samples_per_client < 5:
-            raise ConfigError("samples_per_client must be >= 5")
-        if self.label_permutation_per_group and self.latent_groups > self.classes:
+            raise ConfigError(f"mixture.n_per_client must be >= 5, got {self.samples_per_client}")
+        if self.permute_labels and self.groups > self.classes:
             raise ConfigError(
-                "label permutations are cyclic shifts; need latent_groups <= classes"
-            )
-
-    @property
-    def num_clients(self) -> int:
-        return sum(self.clients_per_group)
+                "mixture.permute_labels relabels by cyclic shifts, so it needs "
+                f"mixture.G <= mixture.classes, got {self.groups} > {self.classes}")
+        if self.partition not in ("dirichlet", "pathological"):
+            raise ConfigError(f"unknown partition {self.partition!r}")
+        if self.dataset == "csv" and not self.csv_path:
+            raise ConfigError("csv dataset requires csv.path")
 
 
 def _circle_means(count: int, input_dim: int, separation: float) -> np.ndarray:
@@ -128,34 +142,45 @@ def _balanced_labels(n: int, classes: int, rng: Rng) -> np.ndarray:
     return labels[rng.permutation(n)]
 
 
-def gen_mixture(spec: MixtureSpec, rng: Rng, validation_fraction: float = 0.2) -> list[ClientDataset]:
+def gen_mixture(data: DataConfig, M: int, rng: Rng,
+                validation_fraction: float = 0.2) -> list[ClientDataset]:
     """Sample M grouped clients; clients within a group are i.i.d. draws."""
-    C, p = spec.classes, spec.input_dim
-    if spec.label_permutation_per_group:
+    G = data.groups
+    sizes = data.clients_per_group or [M // G + (g < M % G) for g in range(G)]
+    if len(sizes) != G:
+        raise ConfigError(f"mixture.clients_per_group must list one count per group "
+                          f"(mixture.G={G}), got {sizes}")
+    if min(sizes) < 1:
+        raise ConfigError(f"each of the mixture.G groups needs a client: "
+                          f"mixture.clients_per_group entries must be positive, got {sizes}")
+    if sum(sizes) != M:
+        raise ConfigError(f"mixture.clients_per_group must sum to M={M}, got {sizes}")
+    C, p = data.classes, data.input_dim
+    if data.permute_labels:
         # shared feature clusters, per-group cyclic relabeling
-        cluster_means = _circle_means(C, p, spec.class_mean_separation)
+        cluster_means = _circle_means(C, p, data.separation)
         def mean_for(group: int, label: int) -> np.ndarray:
             return cluster_means[(label - group) % C]
     else:
-        all_means = _circle_means(spec.latent_groups * C, p, spec.class_mean_separation)
+        all_means = _circle_means(G * C, p, data.separation)
         def mean_for(group: int, label: int) -> np.ndarray:
             return all_means[group * C + label]
 
     clients: list[ClientDataset] = []
     client_id = 0
-    for group, count in enumerate(spec.clients_per_group):
+    for group, count in enumerate(sizes):
         label_means = np.stack([mean_for(group, label) for label in range(C)])
 
         def draw(n: int, stream: Rng) -> Dataset:
             labels = _balanced_labels(n, C, stream)
-            feats = label_means[labels] + spec.noise_std * stream.normal(size=(n, p))
+            feats = label_means[labels] + data.noise_std * stream.normal(size=(n, p))
             return Dataset(feats, labels, C)
 
         for _ in range(count):
             crng = rng.split(client_id)
-            full = draw(spec.samples_per_client, crng.split(0))
+            full = draw(data.samples_per_client, crng.split(0))
             train, val = split_train_validation(full, validation_fraction, crng.split(1))
-            test = draw(spec.samples_per_client, crng.split(2))
+            test = draw(data.samples_per_client, crng.split(2))
             clients.append(ClientDataset(client_id, train, val, test=test, group=group))
             client_id += 1
     return clients
@@ -196,11 +221,12 @@ def dirichlet_partition(
 ) -> list[ClientDataset]:
     """Per-class Dirichlet(alpha) split of a base dataset over M clients."""
     if alpha <= 0:
-        raise ConfigError("alpha must be positive")
+        raise ConfigError(f"dirichlet.alpha must be positive, got {alpha:g}")
     if M < 1:
         raise ConfigError("M must be >= 1")
     if base.n < M * base.class_count:
-        raise ConfigError("base dataset needs at least M * class_count samples")
+        raise ConfigError(f"M={M} clients need at least M * classes = {M * base.class_count} "
+                          f"rows, the dataset has {base.n}")
     assignment: list[list[int]] = [[] for _ in range(M)]
     for c in range(base.class_count):
         idx = np.flatnonzero(base.labels == c)
@@ -220,9 +246,10 @@ def pathological_partition(
     """Give each client shards from exactly classes_per_client classes."""
     C = base.class_count
     if classes_per_client < 1 or classes_per_client >= C:
-        raise ConfigError("need 1 <= classes_per_client < class_count")
+        raise ConfigError(f"pathological.classes_per_client must lie in [1, {C}), got "
+                          f"{classes_per_client}")
     if classes_per_client * M < C:
-        raise ConfigError("classes_per_client * M must cover every class")
+        raise ConfigError(f"pathological.classes_per_client * M must cover all {C} classes")
     order = rng.permutation(C)
     wanted: list[list[int]] = [[] for _ in range(M)]
     for i in range(M):
@@ -251,7 +278,7 @@ def split_train_validation(d: Dataset, fraction: float, rng: Rng) -> tuple[Datas
     if d.n < 2:
         raise ConfigError("cannot split a dataset with fewer than 2 samples")
     if not (0.0 < fraction < 1.0):
-        raise ConfigError("fraction must lie in (0, 1)")
+        raise ConfigError(f"validation_fraction must lie in (0, 1), got {fraction:g}")
     v_total = min(max(1, math.ceil(fraction * d.n)), d.n - 1)
     present = np.unique(d.labels)
     counts = {int(c): int(np.sum(d.labels == c)) for c in present}
@@ -262,6 +289,7 @@ def split_train_validation(d: Dataset, fraction: float, rng: Rng) -> tuple[Datas
         remainders = sorted(
             counts, key=lambda c: (-(fraction * counts[c] - math.floor(fraction * counts[c])), c)
         )
+        # take[c] <= floor(fraction * counts[c]) and <= counts[c] - 1, so short >= 0
         short = v_total - sum(take.values())
         while short > 0:
             progressed = False
@@ -274,13 +302,6 @@ def split_train_validation(d: Dataset, fraction: float, rng: Rng) -> tuple[Datas
                     progressed = True
             if not progressed:
                 break
-        while short < 0:
-            for c in reversed(remainders):
-                if short == 0:
-                    break
-                if take[c] > 0:
-                    take[c] -= 1
-                    short += 1
         val_idx: list[int] = []
         for c in sorted(counts):
             idx = np.flatnonzero(d.labels == c)

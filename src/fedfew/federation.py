@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import (
     ClientDataset,
-    MixtureSpec,
+    DataConfig,
     dirichlet_partition,
     gen_mixture,
     load_csv,
@@ -50,46 +50,12 @@ STREAM_BATCH = 2
 
 @dataclass
 class ModelConfig:
+    """The model's config keys; ModelSpec checks them once the data fixes the
+    input and class counts.  hidden_dim is read only for mlp-1hidden."""
+
     kind: str = SOFTMAX
     hidden_dim: int = 16
     l2_penalty: float = 1e-4
-
-    def __post_init__(self):
-        if self.kind not in (SOFTMAX, MLP):
-            raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be >= 1")
-        if not (np.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
-            raise ConfigError("l2_penalty must be nonnegative and finite")
-
-
-@dataclass
-class DataConfig:
-    dataset: str = "mixture"
-    # mixture
-    groups: int = 1
-    clients_per_group: list[int] | None = None
-    input_dim: int = 2
-    classes: int = 2
-    separation: float = 1.0
-    noise_std: float = 0.2
-    samples_per_client: int = 100
-    permute_labels: bool = False
-    # csv
-    csv_path: str = ""
-    partition: str = "dirichlet"
-    dirichlet_alpha: float = 0.5
-    classes_per_client: int = 2
-
-    def __post_init__(self):
-        if self.dataset not in ("mixture", "csv"):
-            raise ConfigError(f"dataset must be mixture or csv, got {self.dataset!r}")
-        if self.groups < 1:
-            raise ConfigError(f"mixture.G must be >= 1, got {self.groups}")
-        if self.partition not in ("dirichlet", "pathological"):
-            raise ConfigError(f"unknown partition {self.partition!r}")
-        if self.dataset == "csv" and not self.csv_path:
-            raise ConfigError("csv dataset requires csv.path")
 
 
 @dataclass
@@ -118,8 +84,6 @@ class ExperimentConfig:
             raise ConfigError("learning_rate must be positive and finite")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ConfigError("mu must be positive and finite")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise ConfigError("validation_fraction must lie in (0, 1)")
         if self.method in ("fedavg", "local") and self.models != 1:
             raise ConfigError(f"method {self.method} requires K=1")
         if not 0 <= self.seed < 2**64:
@@ -167,25 +131,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[list[ClientDataset], ModelSpec
     data_rng = Rng(cfg.seed).split(STREAM_DATA)
     dc = cfg.data
     if dc.dataset == "mixture":
-        per_group = dc.clients_per_group
-        if per_group is None:
-            if cfg.clients < dc.groups:
-                raise ConfigError("need at least one client per group")
-            base, extra = divmod(cfg.clients, dc.groups)
-            per_group = [base + (1 if g < extra else 0) for g in range(dc.groups)]
-        if sum(per_group) != cfg.clients:
-            raise ConfigError("clients_per_group must sum to M")
-        spec = MixtureSpec(
-            latent_groups=dc.groups,
-            clients_per_group=list(per_group),
-            input_dim=dc.input_dim,
-            classes=dc.classes,
-            class_mean_separation=dc.separation,
-            noise_std=dc.noise_std,
-            samples_per_client=dc.samples_per_client,
-            label_permutation_per_group=dc.permute_labels,
-        )
-        clients = gen_mixture(spec, data_rng, cfg.validation_fraction)
+        clients = gen_mixture(dc, cfg.clients, data_rng, cfg.validation_fraction)
         p, C = dc.input_dim, dc.classes
     else:
         base = load_csv(dc.csv_path)
@@ -357,8 +303,6 @@ def run_fedavg(
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Single global model via sample-size-weighted parameter averaging."""
-    if cfg.models != 1:
-        raise ConfigError("fedavg requires K=1")
     spec, sizes, rows = _problem(cfg, clients, spec)
     M = cfg.clients
     weights = sizes / sizes.sum()

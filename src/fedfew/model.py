@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .numerics import Rng
 
 SOFTMAX = "softmax-regression"
@@ -37,13 +38,13 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in (SOFTMAX, MLP):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1 or self.classes < 2:
-            raise ValueError("need input_dim >= 1 and classes >= 2")
+            raise ConfigError("need input_dim >= 1 and classes >= 2")
         if self.kind == MLP and self.hidden_dim < 1:
-            raise ValueError("mlp-1hidden requires hidden_dim >= 1")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be nonnegative")
+            raise ConfigError("mlp-1hidden requires hidden_dim >= 1")
+        if not (np.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
+            raise ConfigError("l2_penalty must be nonnegative and finite")
 
     @property
     def dim(self) -> int:

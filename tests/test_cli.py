@@ -41,6 +41,38 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return path
 
 
+def with_keys(text, **pairs):
+    """text with the given key=value pairs set, replacing lines of the same key."""
+    keys = dict(line.split("=", 1) for line in text.splitlines())
+    keys.update(pairs)
+    return "".join(f"{key}={value}\n" for key, value in keys.items())
+
+
+def write_csv_data(path, classes=3, per_class=40, seed=0, spread=3.0):
+    """Two features and a label per row: class c is a unit Gaussian at spread * c."""
+    rng = np.random.default_rng(seed)
+    rows = [f"{x[0]:.6f},{x[1]:.6f},{cls}" for cls in range(classes)
+            for x in rng.normal(size=(per_class, 2)) + spread * cls]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+# values found only once the data or model is built, each with the key or
+# field its error names
+BAD_BUILD_VALUES = [
+    ({"mixture.noise": "-1"}, "mixture.noise"),
+    ({"mixture.n_per_client": "4"}, "mixture.n_per_client"),
+    ({"mixture.clients_per_group": "3,3,3"}, "mixture.clients_per_group"),
+    ({"mixture.G": "4", "mixture.permute_labels": "1", "mixture.classes": "3"},
+     "mixture.permute_labels"),
+    ({"model.kind": "foo"}, "kind"),
+    ({"model.kind": "mlp-1hidden", "model.hidden_dim": "0"}, "hidden_dim"),
+    ({"model.l2": "-1"}, "l2_penalty"),
+    ({"validation_fraction": "0"}, "validation_fraction"),
+    ({"dataset": "csv", "csv.path": "{csv}", "dirichlet.alpha": "0"}, "dirichlet.alpha"),
+]
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "method=fedfew\nM=12\nK=3\nT=200\nseed=7\n"))
@@ -217,10 +249,29 @@ class TestMainExitCodes:
 
     def test_diverging_run_names_round_client_and_model(self, tmp_path, capsys):
         text = BASE.replace("learning_rate=0.5", "learning_rate=1e200") + "model.kind=mlp-1hidden\n"
-        path = write_cfg(tmp_path, text)
-        assert main(["run", str(path), "--out", str(tmp_path / "nan")]) == 3
+        path = write_cfg(tmp_path, text + "ablate.K=1,2\n")
+        out = tmp_path / "nan"
+        assert main(["run", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "round" in err and "client" in err and "model" in err
+        assert not out.exists()
+        assert main(["ablate", str(path), "--axis", "K", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("pairs, name", BAD_BUILD_VALUES,
+                             ids=[name for _, name in BAD_BUILD_VALUES])
+    def test_bad_build_value_exits_two_and_writes_nothing(self, tmp_path, capsys, command,
+                                                          pairs, name):
+        csv = write_csv_data(tmp_path / "data.csv")
+        pairs = {key: value.format(csv=csv) for key, value in pairs.items()}
+        path = write_cfg(tmp_path, with_keys(BASE, **pairs, **{"ablate.K": "1,2"}))
+        out = tmp_path / "bad"
+        axis = ["--axis", "K"] if command == "ablate" else []
+        assert main([command, str(path), "--out", str(out), *axis]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key, field", [(key.name, key.attr.rpartition(".")[2])
@@ -258,14 +309,7 @@ class TestMainExitCodes:
         assert "seed=11" in m1 and "seed=99" in m2
 
     def test_csv_dataset_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = []
-        for cls in range(3):
-            for _ in range(40):
-                x = rng.normal(size=2) + 3.0 * cls
-                rows.append(f"{x[0]:.6f},{x[1]:.6f},{cls}")
-        data_path = tmp_path / "data.csv"
-        data_path.write_text("\n".join(rows) + "\n")
+        data_path = write_csv_data(tmp_path / "data.csv")
         text = (f"method=fedavg\nM=3\nK=1\nT=4\nseed=2\ndataset=csv\n"
                 f"csv.path={data_path}\npartition=dirichlet\ndirichlet.alpha=0.5\n")
         path = write_cfg(tmp_path, text)
@@ -274,14 +318,8 @@ class TestMainExitCodes:
         assert len(clients) == 4
 
     def test_pathological_partition_config(self, tmp_path):
-        rng = np.random.default_rng(1)
-        rows = []
-        for cls in range(4):
-            for _ in range(30):
-                x = rng.normal(size=2) + 2.0 * cls
-                rows.append(f"{x[0]:.6f},{x[1]:.6f},{cls}")
-        data_path = tmp_path / "data4.csv"
-        data_path.write_text("\n".join(rows) + "\n")
+        data_path = write_csv_data(tmp_path / "data4.csv", classes=4, per_class=30, seed=1,
+                                   spread=2.0)
         text = (f"method=fedfew\nM=4\nK=2\nT=3\nseed=5\ndataset=csv\ncsv.path={data_path}\n"
                 f"partition=pathological\npathological.classes_per_client=2\n")
         path = write_cfg(tmp_path, text)

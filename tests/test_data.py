@@ -5,8 +5,8 @@ import pytest
 
 from fedfew.data import (
     ClientDataset,
+    DataConfig,
     Dataset,
-    MixtureSpec,
     dirichlet_partition,
     gen_mixture,
     load_csv,
@@ -33,19 +33,19 @@ def all_rows(client: ClientDataset) -> np.ndarray:
 
 class TestGenMixture:
     def test_deterministic(self):
-        spec = MixtureSpec(latent_groups=2, clients_per_group=[2, 3], input_dim=3,
-                           classes=2, samples_per_client=40)
-        a = gen_mixture(spec, Rng(5))
-        b = gen_mixture(spec, Rng(5))
+        data = DataConfig(groups=2, clients_per_group=[2, 3], input_dim=3,
+                          classes=2, samples_per_client=40)
+        a = gen_mixture(data, 5, Rng(5))
+        b = gen_mixture(data, 5, Rng(5))
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.train.features, cb.train.features)
             np.testing.assert_array_equal(ca.test.features, cb.test.features)
             np.testing.assert_array_equal(ca.train.labels, cb.train.labels)
 
     def test_client_counts_and_groups(self):
-        spec = MixtureSpec(latent_groups=3, clients_per_group=[2, 1, 2],
-                           input_dim=2, classes=3, samples_per_client=30)
-        clients = gen_mixture(spec, Rng(0))
+        data = DataConfig(groups=3, clients_per_group=[2, 1, 2],
+                          input_dim=2, classes=3, samples_per_client=30)
+        clients = gen_mixture(data, 5, Rng(0))
         assert [c.client_id for c in clients] == list(range(5))
         assert [c.group for c in clients] == [0, 0, 1, 2, 2]
         for c in clients:
@@ -53,20 +53,20 @@ class TestGenMixture:
             assert c.test.n == 30
 
     def test_separable_single_group_is_fit_perfectly(self):
-        spec = MixtureSpec(latent_groups=1, clients_per_group=[3], input_dim=3, classes=2,
-                           class_mean_separation=2.0, noise_std=0.1, samples_per_client=80)
+        data = DataConfig(groups=1, clients_per_group=[3], input_dim=3, classes=2,
+                          separation=2.0, noise_std=0.1, samples_per_client=80)
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
-        for client in gen_mixture(spec, Rng(1)):
+        for client in gen_mixture(data, 3, Rng(1)):
             theta = per_client_optimum(mspec, client).theta
             assert accuracy(mspec, theta[None], [client.train])[0] >= 0.99
 
     def test_permuted_labels_are_exactly_contradictory(self):
         # shared clusters, swapped labels: pooling balanced groups gives each
         # feature cluster an exactly 50/50 label split
-        spec = MixtureSpec(latent_groups=2, clients_per_group=[2, 2], input_dim=3, classes=2,
-                           class_mean_separation=2.0, noise_std=0.2, samples_per_client=100,
-                           label_permutation_per_group=True)
-        clients = gen_mixture(spec, Rng(0))
+        data = DataConfig(groups=2, clients_per_group=[2, 2], input_dim=3, classes=2,
+                          separation=2.0, noise_std=0.2, samples_per_client=100,
+                          permute_labels=True)
+        clients = gen_mixture(data, 4, Rng(0))
         feats = np.vstack([np.vstack([c.train.features, c.validation.features]) for c in clients])
         labels = np.concatenate([np.concatenate([c.train.labels, c.validation.labels])
                                  for c in clients])
@@ -83,13 +83,35 @@ class TestGenMixture:
         assert 0.45 <= accuracy(mspec, theta[None], [pooled])[0] <= 0.60
 
     def test_permutation_requires_enough_classes(self):
-        with pytest.raises(ConfigError):
-            MixtureSpec(latent_groups=3, clients_per_group=[1, 1, 1], classes=2,
-                        label_permutation_per_group=True)
+        with pytest.raises(ConfigError, match="mixture.permute_labels"):
+            DataConfig(groups=3, clients_per_group=[1, 1, 1], classes=2, permute_labels=True)
 
     def test_group_counts_must_match(self):
-        with pytest.raises(ConfigError):
-            MixtureSpec(latent_groups=2, clients_per_group=[4])
+        with pytest.raises(ConfigError, match="mixture.clients_per_group.*one count per group"):
+            gen_mixture(DataConfig(groups=2, clients_per_group=[4]), 4, Rng(0))
+
+    @pytest.mark.parametrize("groups, per_group, M, message", [
+        (2, [2, 3], 4, "sum to M=4"),
+        (2, [0, 4], 4, "must be positive"),
+        (3, None, 2, "must be positive"),  # balanced over G: one group gets no client
+    ])
+    def test_group_counts_must_cover_M(self, groups, per_group, M, message):
+        data = DataConfig(groups=groups, clients_per_group=per_group)
+        with pytest.raises(ConfigError, match=f"mixture.clients_per_group.*{message}"):
+            gen_mixture(data, M, Rng(0))
+
+    def test_balanced_groups_when_counts_are_not_given(self):
+        clients = gen_mixture(DataConfig(groups=3, samples_per_client=10), 8, Rng(0))
+        assert [c.group for c in clients] == [0, 0, 0, 1, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("input_dim", 0, "mixture.input_dim"),
+        ("classes", 1, "mixture.classes"),
+        ("separation", 0.0, "mixture.sep"),
+    ])
+    def test_bad_mixture_value_names_its_key(self, field, value, key):
+        with pytest.raises(ConfigError, match=key):
+            DataConfig(**{field: value})
 
 
 class TestDirichletPartition:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedfew import model
-from fedfew.data import ClientDataset, Dataset, MixtureSpec, gen_mixture
+from fedfew.data import ClientDataset, Dataset
 from fedfew.errors import ConfigError
 from fedfew.federation import (
     STREAM_BATCH,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedfew.data import ClientDataset, Dataset, MixtureSpec, gen_mixture
+from fedfew.data import ClientDataset, DataConfig, Dataset, gen_mixture
 from fedfew.federation import per_client_optimum
 from fedfew.metrics import (
     accuracy,
@@ -112,10 +112,9 @@ class TestJainIndex:
 
 
 def two_group_contradictory_clients(n=120):
-    spec = MixtureSpec(latent_groups=2, clients_per_group=[2, 2], input_dim=2, classes=2,
-                       class_mean_separation=1.5, noise_std=0.2, samples_per_client=n,
-                       label_permutation_per_group=True)
-    return gen_mixture(spec, Rng(3))
+    data = DataConfig(groups=2, clients_per_group=[2, 2], input_dim=2, classes=2,
+                      separation=1.5, noise_std=0.2, samples_per_client=n, permute_labels=True)
+    return gen_mixture(data, 4, Rng(3))
 
 
 def unequal_clients():

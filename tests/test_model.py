@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fedfew.errors import ConfigError
 from fedfew.model import (
     ModelSpec,
     grid_loss,
@@ -195,6 +196,17 @@ class TestFiniteDifference:
         err = {step: np.linalg.norm(grid_fd(spec, thetas, rows, step) - g) for step in (2e-3, 1e-3)}
         ratio = err[2e-3] / err[1e-3]
         assert 2.5 <= ratio <= 6.0
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("l2", [-1.0, math.nan, math.inf])
+    def test_l2_must_be_nonnegative_and_finite(self, l2):
+        with pytest.raises(ConfigError, match="l2_penalty"):
+            ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=l2)
+
+    def test_hidden_dim_is_ignored_by_softmax(self):
+        spec = ModelSpec("softmax-regression", input_dim=2, classes=3, hidden_dim=0)
+        assert spec.dim == 9
 
 
 class TestInit:
