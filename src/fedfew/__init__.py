@@ -21,13 +21,9 @@ from .data import (
     split_train_validation,
 )
 from .scalarization import (
-    LossMatrix,
-    ScalarizationConfig,
     ScalarizationWeights,
     aggregate_gradients,
-    apply_sample_weighting,
     compute_weights,
-    loss_matrix,
     stch_set_value,
     tch_set_value,
 )

@@ -39,6 +39,8 @@ from .metrics import accuracy, coverage_gap, fairness_report
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer, np.bool_)):
@@ -216,7 +218,8 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict:
     """Run one configured experiment and write its output files.
 
-    Returns the summary row as a dict for programmatic callers.  out_dir is
+    Returns summary.csv's row plus the last round's stch value and mean w
+    entropy as a dict, for programmatic callers and ablation.csv.  out_dir is
     made only once everything is computed, so a run that fails writes
     nothing; if a write fails, the files already written are removed.
     """
@@ -245,15 +248,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
             _, mean_gap = coverage_gap(spec, models, optima, clients)
 
         fairness = fairness_report(test_accs)
-        summary = {
+        summary = {  # summary.csv's columns
             "mean_acc": fairness.mean,
             "std_acc": fairness.std,
             "min_acc": fairness.min,
             "max_acc": fairness.max,
             "jain_index": fairness.jain_index,
             "mean_coverage_gap": mean_gap,
-            "final_stch_value": traces[-1].stch_value,
-            "final_w_entropy_mean": traces[-1].w_entropy_mean,
         }
 
         k_cols = [f"grad_norm_{k + 1}" for k in range(len(traces[0].grad_norms))]
@@ -275,10 +276,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
                    client_rows)
         written.append(path)
         path = out / "summary.csv"
-        _write_csv(path, ["mean_acc", "std_acc", "min_acc", "max_acc", "jain_index",
-                          "mean_coverage_gap"],
-                   [[fairness.mean, fairness.std, fairness.min, fairness.max,
-                     fairness.jain_index, "" if mean_gap is None else mean_gap]])
+        _write_csv(path, list(summary), [list(summary.values())])
         written.append(path)
         path = out / "manifest.txt"
         path.write_text(
@@ -287,7 +285,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
             encoding="utf-8",
         )
         written.append(path)
-        return summary
+        return {**summary, "final_stch_value": traces[-1].stch_value,
+                "final_w_entropy_mean": traces[-1].w_entropy_mean}
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -328,17 +327,8 @@ def run_ablation(config_path, axis: str, out_dir, oracle: bool = False,
     for label, cfg in runs:
         summary = run_experiment(cfg, out / f"{axis}_{label}", oracle=oracle)
         rows.append({"value": label, **summary})
-    table = [
-        [axis, r["value"], r["mean_acc"], r["std_acc"], r["min_acc"], r["max_acc"],
-         r["jain_index"],
-         "" if r["mean_coverage_gap"] is None else r["mean_coverage_gap"],
-         r["final_stch_value"], r["final_w_entropy_mean"]]
-        for r in rows
-    ]
-    _write_csv(out / "ablation.csv",
-               ["axis", "value", "mean_acc", "std_acc", "min_acc", "max_acc",
-                "jain_index", "mean_coverage_gap", "final_stch_value",
-                "final_w_entropy_mean"], table)
+    _write_csv(out / "ablation.csv", ["axis", *rows[0]],
+               [[axis, *r.values()] for r in rows])
     return rows
 
 

@@ -61,10 +61,6 @@ class ClientDataset:
     test: Dataset | None = None
     group: int | None = None  # latent group label for mixture clients
 
-    def __post_init__(self):
-        if self.validation.n < 1:
-            raise ValueError("validation split must be non-empty")
-
     @property
     def test_or_validation(self) -> Dataset:
         return self.test if self.test is not None else self.validation

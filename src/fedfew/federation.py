@@ -37,8 +37,7 @@ from .metrics import weight_diagnostics
 from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses, grid_loss,
                     grid_loss_and_grad, init_params, stack_rows)
 from .numerics import Rng
-from .scalarization import (ScalarizationConfig, aggregate_gradients, apply_sample_weighting,
-                            compute_weights, stch_set_value)
+from .scalarization import aggregate_gradients, compute_weights
 
 METHODS = ("fedfew", "fedavg", "ifca", "local")
 
@@ -112,7 +111,7 @@ class OptimumResult:
     theta: np.ndarray
     grad_norm: float
     steps: int
-    converged: bool  # grad_norm <= 1e-3; False carries a convergence warning
+    converged: bool  # grad_norm <= 1e-3; False only flags it, the run goes on
 
 
 def uploads_per_round(method: str, M: int, K: int) -> int:
@@ -209,8 +208,6 @@ def _uploads(gradient_mode, thetas, local, grads, eta):
     batch, and keeps the total server movement comparable across (E, T)
     budgets with T*E fixed.
     """
-    if gradient_mode not in ("lookahead", "delta"):
-        raise ConfigError(f"unknown gradient_mode {gradient_mode!r}")
     return grads if gradient_mode == "lookahead" or eta == 0 else (thetas - local) / eta
 
 
@@ -236,35 +233,28 @@ def _local_round(cfg: ExperimentConfig, spec, rows, grid, t: int, streams, model
     return local, losses, grads
 
 
-def _problem(cfg: ExperimentConfig, clients, spec) -> tuple[ModelSpec, np.ndarray, ClientRows]:
-    """The spec, the train sizes and the stacked train splits of a run."""
+def _problem(cfg: ExperimentConfig, clients, spec
+             ) -> tuple[ModelSpec, np.ndarray, np.ndarray, ClientRows]:
+    """The spec, the train sizes, each client's share n_i / sum_j n_j of the
+    train rows (the sample-size weighting of every method) and the stacked
+    train splits of a run."""
     if clients is None:
         clients, spec = build_problem(cfg)
     if len(clients) != cfg.clients:
         raise ConfigError(f"config says M={cfg.clients} but {len(clients)} clients were built")
     sizes = np.array([c.train.n for c in clients], dtype=np.float64)
-    return spec, sizes, stack_rows(spec, [(c.train.features, c.train.labels) for c in clients])
+    share = sizes / sizes.sum()
+    rows = stack_rows(spec, [(c.train.features, c.train.labels) for c in clients])
+    return spec, sizes, share, rows
 
 
-def _weighted(cfg: ExperimentConfig, raw_losses, grads, sizes):
-    """Apply normalized-sample-size weighting to losses and gradients jointly."""
-    lm = apply_sample_weighting(raw_losses, sizes)
-    if grads is not None:
-        grads = grads * lm.sample_weights[:, None, None]
-    return lm, grads, ScalarizationConfig(mu=cfg.mu)
-
-
-def _trace(t, lm, scal, weights, grad_norms, uploads) -> RoundTrace:
+def _trace(t, weights, grad_norms, uploads) -> RoundTrace:
+    """A round's trace; every method is scored with the smooth objective fedfew
+    optimizes, over its share-weighted losses."""
     alpha_cv, entropy, wmax = weight_diagnostics(weights)
-    return RoundTrace(round=t, stch_value=stch_set_value(lm, scal), grad_norms=grad_norms,
+    return RoundTrace(round=t, stch_value=weights.value, grad_norms=grad_norms,
                       alpha_cv=alpha_cv, w_entropy_mean=entropy, w_max_mean=wmax,
                       uploads=uploads)
-
-
-def _baseline_trace(cfg, t, raw_losses, sizes, grad_norms, uploads) -> RoundTrace:
-    """A baseline round, scored with the smooth objective fedfew optimizes."""
-    lm, _, scal = _weighted(cfg, raw_losses, None, sizes)
-    return _trace(t, lm, scal, compute_weights(lm, scal), grad_norms, uploads)
 
 
 def _init_models(spec: ModelSpec, seed: int, count: int) -> np.ndarray:
@@ -279,7 +269,9 @@ def run_fedfew(
     gradient_mode: str = "lookahead",
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Joint optimization of K server models via smooth set scalarization."""
-    spec, sizes, rows = _problem(cfg, clients, spec)
+    if gradient_mode not in ("lookahead", "delta"):
+        raise ConfigError(f"unknown gradient_mode {gradient_mode!r}")
+    spec, _, share, rows = _problem(cfg, clients, spec)
     M, K = cfg.clients, cfg.models
     thetas = _init_models(spec, cfg.seed, K)
     models = np.broadcast_to(np.arange(K), (M, K))
@@ -288,11 +280,10 @@ def run_fedfew(
         grid = np.broadcast_to(thetas, (M, *thetas.shape))
         local, losses, grads = _local_round(cfg, spec, rows, grid, t, models, models)
         uploads = _uploads(gradient_mode, grid, local, grads, cfg.learning_rate)
-        lm, wgrads, scal = _weighted(cfg, losses, uploads, sizes)
-        weights = compute_weights(lm, scal)
-        agg = aggregate_gradients(weights, wgrads)
+        weights = compute_weights(losses * share[:, None], cfg.mu)
+        agg = aggregate_gradients(weights, uploads * share[:, None, None])
         thetas = thetas - cfg.learning_rate * agg
-        traces.append(_trace(t, lm, scal, weights, np.linalg.norm(agg, axis=1),
+        traces.append(_trace(t, weights, np.linalg.norm(agg, axis=1),
                              uploads_per_round("fedfew", M, K)))
     return thetas, traces
 
@@ -303,19 +294,18 @@ def run_fedavg(
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Single global model via sample-size-weighted parameter averaging."""
-    spec, sizes, rows = _problem(cfg, clients, spec)
+    spec, _, share, rows = _problem(cfg, clients, spec)
     M = cfg.clients
-    weights = sizes / sizes.sum()
     theta = _init_models(spec, cfg.seed, 1)[0]
     models = np.zeros((M, 1), dtype=np.int64)
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
         grid = np.broadcast_to(theta, (M, 1, theta.size))
         local, losses, _ = _local_round(cfg, spec, rows, grid, t, models, models)
-        new_theta = weights @ local[:, 0]
+        new_theta = share @ local[:, 0]
         norm = np.linalg.norm(theta - new_theta) / cfg.learning_rate
-        traces.append(_baseline_trace(cfg, t, losses, sizes, np.array([norm]),
-                                      uploads_per_round("fedavg", M, 1)))
+        traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
+                             np.array([norm]), uploads_per_round("fedavg", M, 1)))
         theta = new_theta
     return theta[None, :], traces
 
@@ -326,7 +316,7 @@ def run_ifca(
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace], list[AssignmentResult]]:
     """Hard clustering: clients train only their current best model."""
-    spec, sizes, rows = _problem(cfg, clients, spec)
+    spec, sizes, share, rows = _problem(cfg, clients, spec)
     M, K = cfg.clients, cfg.models
     thetas = _init_models(spec, cfg.seed, K)
     traces: list[RoundTrace] = []
@@ -340,8 +330,8 @@ def run_ifca(
         # an empty cluster keeps its previous parameters
         new_thetas = np.where(totals > 0, mass.T @ local[:, 0] / np.maximum(totals, 1.0), thetas)
         norms = np.linalg.norm(thetas - new_thetas, axis=1) / cfg.learning_rate
-        traces.append(_baseline_trace(cfg, t, eval_losses, sizes, norms,
-                                      uploads_per_round("ifca", M, K)))
+        traces.append(_trace(t, compute_weights(eval_losses * share[:, None], cfg.mu), norms,
+                             uploads_per_round("ifca", M, K)))
         assignments.append(AssignmentResult(selected=choice[:, 0], losses=eval_losses))
         thetas = new_thetas
     return thetas, traces, assignments
@@ -353,7 +343,7 @@ def run_local(
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Every client trains its own model; no communication at all."""
-    spec, sizes, rows = _problem(cfg, clients, spec)
+    spec, _, share, rows = _problem(cfg, clients, spec)
     M = cfg.clients
     thetas = _init_models(spec, cfg.seed, M)  # one model per client
     streams = np.zeros((M, 1), dtype=np.int64)
@@ -363,7 +353,8 @@ def run_local(
         local, losses, _ = _local_round(cfg, spec, rows, thetas[:, None], t, streams, models)
         new_thetas = local[:, 0]
         step_norm = float(np.mean(np.linalg.norm(thetas - new_thetas, axis=1))) / cfg.learning_rate
-        traces.append(_baseline_trace(cfg, t, losses, sizes, np.array([step_norm]), 0))
+        traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
+                             np.array([step_norm]), 0))
         thetas = new_thetas
     return thetas, traces
 

@@ -33,9 +33,7 @@ from fedfew.metrics import accuracy, coverage_gap, jain_index, weight_diagnostic
 from fedfew.model import ModelSpec, init_params
 from fedfew.numerics import Rng, log_sum_exp, smooth_min
 from fedfew.scalarization import (
-    ScalarizationConfig,
     aggregate_gradients,
-    apply_sample_weighting,
     compute_weights,
     stch_set_value,
     tch_set_value,
@@ -113,22 +111,21 @@ def test_criterion_1_gradient_consistency():
         spec = ModelSpec("softmax-regression", input_dim=p, classes=classes, l2_penalty=1e-3)
         assert spec.dim <= 40
         mu = [0.01, 0.1, 1.0][seed % 3]
-        cfg = ScalarizationConfig(mu=mu)
         clients_x = [rng.split(10, i).normal(size=(12, p)) for i in range(m)]
         clients_y = [rng.split(20, i).integers(0, classes, size=12) for i in range(m)]
         sizes = np.array([12 + 2 * i for i in range(m)], dtype=float)
+        share = sizes / sizes.sum()
         thetas = np.stack([init_params(spec, rng.split(30, j)) for j in range(k)])
 
         def weighted_losses(th):
             raw = np.array([[loss(spec, th[j], clients_x[i], clients_y[i])
                              for j in range(k)] for i in range(m)])
-            return apply_sample_weighting(raw, sizes)
+            return raw * share[:, None]
 
-        lm = weighted_losses(thetas)
         grads = np.array([[grad(spec, thetas[j], clients_x[i], clients_y[i])
                            for j in range(k)] for i in range(m)])
-        weights = compute_weights(lm, cfg)
-        agg = aggregate_gradients(weights, grads * lm.sample_weights[:, None, None])
+        weights = compute_weights(weighted_losses(thetas), mu)
+        agg = aggregate_gradients(weights, grads * share[:, None, None])
 
         h = 1e-6
         fd = np.zeros_like(agg)
@@ -136,8 +133,8 @@ def test_criterion_1_gradient_consistency():
             for c in range(spec.dim):
                 up = thetas.copy(); up[j, c] += h
                 dn = thetas.copy(); dn[j, c] -= h
-                fd[j, c] = (stch_set_value(weighted_losses(up), cfg)
-                            - stch_set_value(weighted_losses(dn), cfg)) / (2 * h)
+                fd[j, c] = (stch_set_value(weighted_losses(up), mu)
+                            - stch_set_value(weighted_losses(dn), mu)) / (2 * h)
         rel = np.linalg.norm(fd - agg) / max(np.linalg.norm(agg), 1e-12)
         worst = max(worst, rel)
     elapsed = time.time() - start
@@ -167,11 +164,10 @@ def test_criterion_2a_sandwich_as_stated():
     violations = 0
     for raw in _random_loss_matrices():
         m = raw.shape[0]
-        lm = apply_sample_weighting(raw, np.ones(m))
+        lm = raw * (np.ones(m) / m)[:, None]  # equal shares
         for mu in (1e-3, 1e-2, 0.1, 1.0):
-            cfg = ScalarizationConfig(mu=mu)
-            s = stch_set_value(lm, cfg)
-            t = tch_set_value(lm, cfg)
+            s = stch_set_value(lm, mu)
+            t = tch_set_value(lm)
             if not (s - mu * (math.log(m) + math.log(raw.shape[1])) - 1e-12 <= t <= s + 1e-12):
                 violations += 1
     report("2a sandwich-as-stated", violations == 0,
@@ -184,11 +180,10 @@ def test_criterion_2b_sandwich_corrected():
     violations = 0
     for raw in _random_loss_matrices():
         m, k = raw.shape
-        lm = apply_sample_weighting(raw, np.ones(m))
+        lm = raw * (np.ones(m) / m)[:, None]  # equal shares
         for mu in (1e-3, 1e-2, 0.1, 1.0):
-            cfg = ScalarizationConfig(mu=mu)
-            s = stch_set_value(lm, cfg)
-            t = tch_set_value(lm, cfg)
+            s = stch_set_value(lm, mu)
+            t = tch_set_value(lm)
             if not (s - mu * math.log(m) - 1e-12 <= t <= s + mu * math.log(k) + 1e-12):
                 violations += 1
             if abs(s - t) > mu * (math.log(m) + math.log(k)) + 1e-12:
@@ -230,22 +225,22 @@ def test_criterion_4_weight_limits():
         [0.70, 0.50, 0.95],
         [0.20, 0.45, 0.10],
     ])  # unique row minima, min gap >= 0.1, losses in [0, 1]
-    lm = apply_sample_weighting(rows, np.ones(4) * 4)
+    lm = rows * np.full(4, 0.25)[:, None]  # four clients of equal size
 
-    sharp = compute_weights(lm, ScalarizationConfig(mu=1e-4)).w
+    sharp = compute_weights(lm, 1e-4).w
     assert np.all(np.max(sharp, axis=1) >= 0.99)
 
-    soft = compute_weights(lm, ScalarizationConfig(mu=10.0)).w
+    soft = compute_weights(lm, 10.0).w
     assert np.all(np.abs(soft - 1.0 / 3.0) <= 1e-2)
 
     entropies = []
     for mu in (1e-3, 1e-2, 1e-1, 1.0):
-        w = compute_weights(lm, ScalarizationConfig(mu=mu))
+        w = compute_weights(lm, mu)
         entropies.append(weight_diagnostics(w)[1])
     assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
     # paper-reported endpoints: near-one-hot at mu=0.001, near log 3 at mu=1
-    w_hard = compute_weights(lm, ScalarizationConfig(mu=1e-3)).w
+    w_hard = compute_weights(lm, 1e-3).w
     assert np.all(np.max(w_hard, axis=1) >= 0.99)
     assert abs(entropies[-1] - math.log(3.0)) <= 0.05
 
@@ -437,8 +432,8 @@ def test_criterion_10_pareto_witness():
     sizes = np.array([c.train.n for c in clients], float)
     raw = np.array([[loss(spec, models[k], c.train.features, c.train.labels)
                      for k in range(2)] for c in clients])
-    lm = apply_sample_weighting(raw, sizes)
-    flat = compute_weights(lm, ScalarizationConfig(mu=cfg.mu)).flattened
+    weights = compute_weights(raw * (sizes / sizes.sum())[:, None], cfg.mu)
+    flat = weights.alpha[:, None] * weights.w
     ok = (np.all(final_norms <= 1e-4) and np.all(flat >= 0)
           and abs(float(flat.sum()) - 1.0) <= 1e-10)
     report("10 pareto-witness", ok,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedfew import model
+from fedfew import federation, model
 from fedfew.data import ClientDataset, Dataset
 from fedfew.errors import ConfigError
 from fedfew.federation import (
@@ -26,12 +26,7 @@ from fedfew.federation import (
 from fedfew.metrics import accuracy
 from fedfew.model import ModelSpec, init_params, stack_rows
 from fedfew.numerics import Rng
-from fedfew.scalarization import (
-    ScalarizationConfig,
-    aggregate_gradients,
-    apply_sample_weighting,
-    compute_weights,
-)
+from fedfew.scalarization import aggregate_gradients, compute_weights
 from perpair import grad, loss, optimum
 
 SPEC = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-3)
@@ -116,6 +111,14 @@ class TestRunFedfew:
         _, traces = run_fedfew(cfg)
         assert all(t.uploads == cfg.clients * cfg.models for t in traces)
         assert uploads_per_round("fedfew", 7, 3) == 21
+
+    def test_unknown_gradient_mode_rejected_before_building(self, monkeypatch):
+        def never(cfg):
+            raise AssertionError("built the problem before checking gradient_mode")
+
+        monkeypatch.setattr(federation, "build_problem", never)
+        with pytest.raises(ConfigError, match="unknown gradient_mode 'bogus'"):
+            run_fedfew(small_cfg(), gradient_mode="bogus")
 
     def test_trace_diagnostics_within_bounds(self):
         cfg = small_cfg(K=3)
@@ -360,7 +363,10 @@ def loop_local(spec, train, theta, cfg, t, i, key):
 
 
 def loop_fedfew(cfg, clients, spec, gradient_mode):
+    """The final models and every round's stch value, task by task."""
     sizes = np.array([c.train.n for c in clients], float)
+    share = sizes / sizes.sum()
+    values = []
     thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(cfg.models)])
     for t in range(1, cfg.rounds + 1):
         losses = np.empty((len(clients), cfg.models))
@@ -372,11 +378,11 @@ def loop_fedfew(cfg, clients, spec, gradient_mode):
                 losses[i, k] = loss(spec, local, x, y)
                 grads[i, k] = (grad(spec, local, x, y) if gradient_mode == "lookahead"
                                else (thetas[k] - local) / cfg.learning_rate)
-        lm = apply_sample_weighting(losses, sizes)
-        weights = compute_weights(lm, ScalarizationConfig(mu=cfg.mu))
+        weights = compute_weights(losses * share[:, None], cfg.mu)
+        values.append(weights.value)
         thetas = thetas - cfg.learning_rate * aggregate_gradients(
-            weights, grads * lm.sample_weights[:, None, None])
-    return thetas
+            weights, grads * share[:, None, None])
+    return thetas, values
 
 
 class TestBatchedEngine:
@@ -384,17 +390,19 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("gradient_mode", ["lookahead", "delta"])
     def test_fedfew_matches_task_loop(self, spec, gradient_mode):
         cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
-        models, _ = run_fedfew(cfg, clients, spec, gradient_mode=gradient_mode)
-        expected = loop_fedfew(cfg, clients, spec, gradient_mode)
+        models, traces = run_fedfew(cfg, clients, spec, gradient_mode=gradient_mode)
+        expected, values = loop_fedfew(cfg, clients, spec, gradient_mode)
         np.testing.assert_allclose(models, expected, rtol=1e-10)
+        np.testing.assert_allclose([t.stch_value for t in traces], values, rtol=1e-10)
 
     def test_blocks_of_sorted_clients_match_task_loop(self, monkeypatch):
         # blocks of 3: the largest three clients, then the smallest
         monkeypatch.setattr(model, "CLIENT_BLOCK", 3)
         cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
-        models, _ = run_fedfew(cfg, clients, MLP_SPEC)
-        expected = loop_fedfew(cfg, clients, MLP_SPEC, "lookahead")
+        models, traces = run_fedfew(cfg, clients, MLP_SPEC)
+        expected, values = loop_fedfew(cfg, clients, MLP_SPEC, "lookahead")
         np.testing.assert_allclose(models, expected, rtol=1e-10)
+        np.testing.assert_allclose([t.stch_value for t in traces], values, rtol=1e-10)
 
     @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
     def test_ifca_matches_task_loop(self, spec):

@@ -20,7 +20,7 @@ from fedfew.metrics import (
 from fedfew.model import ModelSpec, init_params
 from fedfew.numerics import Rng
 from perpair import logits, loss
-from fedfew.scalarization import ScalarizationConfig, ScalarizationWeights, compute_weights, loss_matrix
+from fedfew.scalarization import ScalarizationWeights, compute_weights
 
 SOFTMAX2 = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-4)
 
@@ -209,7 +209,7 @@ class TestCoverageGap:
 
 class TestWeightDiagnostics:
     def test_uniform_rows(self):
-        w = compute_weights(loss_matrix(np.full((5, 3), 0.7)), ScalarizationConfig(mu=1.0))
+        w = compute_weights(np.full((5, 3), 0.7), 1.0)
         alpha_cv, entropy, wmax = weight_diagnostics(w)
         assert alpha_cv == pytest.approx(0.0, abs=1e-12)
         # uniform over 3 models: entropy log 3 = 1.0986..., max 1/3
@@ -218,7 +218,7 @@ class TestWeightDiagnostics:
 
     def test_one_hot_rows(self):
         sw = ScalarizationWeights(alpha=np.array([0.5, 0.5]),
-                                  w=np.array([[1.0, 0.0], [0.0, 1.0]]))
+                                  w=np.array([[1.0, 0.0], [0.0, 1.0]]), value=0.0)
         _, entropy, wmax = weight_diagnostics(sw)
         assert entropy == 0.0 and wmax == 1.0
 
@@ -226,8 +226,7 @@ class TestWeightDiagnostics:
         rng = np.random.default_rng(5)
         for _ in range(50):
             m, k = rng.integers(1, 6), rng.integers(1, 5)
-            w = compute_weights(loss_matrix(rng.uniform(0, 3, size=(m, k))),
-                                ScalarizationConfig(mu=float(rng.uniform(0.005, 2.0))))
+            w = compute_weights(rng.uniform(0, 3, size=(m, k)), float(rng.uniform(0.005, 2.0)))
             _, entropy, wmax = weight_diagnostics(w)
             assert -1e-12 <= entropy <= math.log(k) + 1e-12
             assert 1.0 / k - 1e-12 <= wmax <= 1.0 + 1e-12
