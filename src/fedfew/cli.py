@@ -28,6 +28,7 @@ from .federation import (
     ExperimentConfig,
     ModelConfig,
     build_problem,
+    check_oracle_model,
     per_client_optimum,
     run_fedavg,
     run_fedfew,
@@ -226,6 +227,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
     out = Path(out_dir)
     written: list[Path] = []
     try:
+        if oracle:
+            check_oracle_model(cfg.model.kind)
         clients, spec = build_problem(cfg)
         result = _RUNNERS[cfg.method](cfg, clients, spec)
         models, traces = result[0], result[1]

@@ -34,8 +34,8 @@ from .data import (
 )
 from .errors import ConfigError
 from .metrics import weight_diagnostics
-from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses, grid_loss,
-                    grid_loss_and_grad, init_params, stack_rows)
+from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses,
+                    grid_loss_and_grad, init_params, softmax_hessian, stack_rows)
 from .numerics import Rng
 from .scalarization import aggregate_gradients, compute_weights
 
@@ -366,34 +366,41 @@ def select_models(spec: ModelSpec, models: np.ndarray, clients: list[ClientDatas
     return AssignmentResult(selected=np.argmin(losses, axis=1), losses=losses)
 
 
-def per_client_optimum(
-    spec: ModelSpec,
-    client: ClientDataset,
-    budget: int = 20000,
-    tol: float = 1e-6,
-) -> OptimumResult:
-    """Gradient descent with backtracking on the client's full train loss.
+def check_oracle_model(kind: str) -> None:
+    """The oracle solves convex softmax regression only."""
+    if kind != SOFTMAX:
+        raise ConfigError(f"the oracle needs model.kind={SOFTMAX}, not {kind!r}: "
+                          "only a convex model has one optimum per client")
 
-    Oracle-grade only for the convex softmax-regression spec; the MLP gets
-    whatever local minimum the descent finds.
+
+def per_client_optimum(spec: ModelSpec, client: ClientDataset) -> OptimumResult:
+    """Damped Newton with Armijo backtracking on the client's full train loss
+    (Boyd & Vandenberghe, Convex Optimization, 9.5), from theta = 0.
+
+    With l2 > 0 the Hessian is positive definite; at l2 = 0 it is singular
+    (exactly so at theta = 0), and the step is the minimum-norm solution.
     """
+    check_oracle_model(spec.kind)
     rows = stack_rows(spec, [(client.train.features, client.train.labels)])
     theta = np.zeros((1, 1, spec.dim))  # a grid of one pair
     f, g = grid_loss_and_grad(spec, theta, rows)
-    step = 1.0
     steps = 0
     gnorm = float(np.linalg.norm(g))
-    while gnorm > tol and steps < budget:
-        step = min(step * 2.0, 1e6)
-        gg = gnorm * gnorm
+    while gnorm > 1e-6 and steps < 20000:
+        hessian = softmax_hessian(spec, theta, rows)
+        if spec.l2_penalty > 0:
+            direction = -np.linalg.solve(hessian, g[0, 0])
+        else:
+            direction = -np.linalg.lstsq(hessian, g[0, 0], rcond=None)[0]
+        slope = float(g[0, 0] @ direction)
+        step = 1.0
         for _ in range(60):
-            trial = theta - step * g
-            f_trial = grid_loss(spec, trial, rows)
-            if f_trial[0, 0] <= f[0, 0] - 1e-4 * step * gg:
+            trial = theta + step * direction
+            f_trial, g_trial = grid_loss_and_grad(spec, trial, rows)
+            if f_trial[0, 0] <= f[0, 0] + 1e-4 * step * slope:
                 break
             step *= 0.5
-        theta = trial
-        f, g = grid_loss_and_grad(spec, theta, rows)
+        theta, f, g = trial, f_trial, g_trial
         gnorm = float(np.linalg.norm(g))
         steps += 1
     return OptimumResult(theta=theta[0, 0], grad_norm=gnorm, steps=steps, converged=gnorm <= 1e-3)

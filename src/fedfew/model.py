@@ -8,7 +8,8 @@ arithmetic.
 
 One kernel scores every (client, model) pair of an (M, K') grid at once:
 grid_loss_and_grad for training and the oracle, grid_loss for selection and
-the evaluation metrics, grid_predict for accuracy.
+the evaluation metrics, grid_predict for accuracy; softmax_hessian gives the
+oracle its Newton steps.
 
 Flat layouts:
     softmax-regression: W of shape (C, p+1), row-major; column p is the bias.
@@ -168,6 +169,22 @@ def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows) -> tuple[np.nd
         da = (w2[..., :h].swapaxes(-1, -2) @ delta) * (1.0 - a * a)
         g = np.concatenate([(da @ rows.x).reshape(m, k, -1), g2.reshape(m, k, -1)], axis=-1)
     return losses, g + spec.l2_penalty * thetas
+
+
+def softmax_hessian(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:
+    """Hessian (d, d) of the softmax-regression loss of a grid of one pair (1, 1, d):
+    sum_r w_r (diag p_r - p_r p_r^T) kron x_r x_r^T + l2 I, for the oracle."""
+    z = _grid_logits(spec, thetas, rows)[0][0, 0]  # (C, n)
+    probs = np.exp(z - z.max(axis=0))
+    probs /= probs.sum(axis=0)
+    x = rows.x[0, 0]  # (n, p + 1)
+    wpx = (probs * rows.weights[0, 0])[..., None] * x  # (C, n, p + 1): w_r p_rc x_r
+    c, d = spec.classes, spec.dim
+    # block (c, c): sum_r w_r p_rc x_r x_r^T
+    diagonal = np.einsum("ce,cjk->cjek", np.eye(c), wpx.swapaxes(1, 2) @ x).reshape(d, d)
+    # entry ((c, j), (e, k)): sum_r w_r p_rc x_rj p_re x_rk
+    outer = wpx.swapaxes(0, 1).reshape(-1, d).T @ (probs[..., None] * x).swapaxes(0, 1).reshape(-1, d)
+    return diagonal - outer + spec.l2_penalty * np.eye(d)
 
 
 def grid_predict(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:

@@ -95,8 +95,8 @@ def finite_difference_grad(loss_of, thetas, step: float = 1e-5) -> np.ndarray:
 
 
 def optimum(spec: ModelSpec, features, labels, budget: int = 20000, tol: float = 1e-6):
-    """Gradient descent with backtracking on one client's loss: the oracle's
-    descent, step for step.  Returns (theta, steps)."""
+    """Gradient descent with backtracking on one client's loss: the reference
+    descent the Newton oracle is checked against.  Returns (theta, steps)."""
     x, y = features, labels
     theta = np.zeros(spec.dim)
     f = loss(spec, theta, x, y)

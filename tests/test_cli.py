@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedfew import cli
 from fedfew.cli import (
     FLOAT,
     KEYS,
@@ -271,6 +272,23 @@ class TestMainExitCodes:
         assert main([command, str(path), "--out", str(out), *axis]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "key"])
+    def test_mlp_oracle_exits_two_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                     command, flag):
+        # the oracle solves softmax regression only; caught before the data is built
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: pytest.fail("built the problem"))
+        text = BASE + "model.kind=mlp-1hidden\nablate.K=1,2\n" + ("" if flag else "oracle=1\n")
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "mlp"
+        argv = [command, str(path), "--out", str(out)]
+        argv += ["--axis", "K"] if command == "ablate" else []
+        argv += ["--oracle"] if flag else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "oracle" in err and "model.kind" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

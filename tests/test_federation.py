@@ -1,11 +1,13 @@
 """Protocol behavior: client rounds, the four methods, selection, optima."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedfew import federation, model
+from fedfew.cli import parse_config
 from fedfew.data import ClientDataset, Dataset
 from fedfew.errors import ConfigError
 from fedfew.federation import (
@@ -29,6 +31,7 @@ from fedfew.numerics import Rng
 from fedfew.scalarization import aggregate_gradients, compute_weights
 from perpair import grad, loss, optimum
 
+ROOT = Path(__file__).resolve().parent.parent
 SPEC = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-3)
 
 
@@ -321,13 +324,40 @@ class TestPerClientOptimum:
 
 
     @pytest.mark.parametrize("n", [3, 24, 61])
-    def test_same_descent_as_per_pair_solver(self, n):
-        # clients of unequal size: the same steps and the same optimum
+    def test_agrees_with_per_pair_descent(self, n):
+        # clients of unequal size: Newton against the reference descent
         client = make_client(seed=n, n=n + 4)
+        x, y = client.train.features, client.train.labels
         result = per_client_optimum(SPEC, client)
-        theta, steps = optimum(SPEC, client.train.features, client.train.labels)
-        assert result.steps == steps
-        np.testing.assert_allclose(result.theta, theta, rtol=0, atol=1e-12)
+        theta, _ = optimum(SPEC, x, y)
+        assert np.linalg.norm(grad(SPEC, result.theta, x, y)) <= 1e-6
+        assert loss(SPEC, result.theta, x, y) <= loss(SPEC, theta, x, y) + 1e-12
+        # strong convexity: ||theta - theta*|| <= ||g(theta)|| / l2
+        bound = np.linalg.norm(grad(SPEC, theta, x, y)) / SPEC.l2_penalty
+        assert np.linalg.norm(result.theta - theta) <= bound
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_converges_without_l2(self, n):
+        # l2 = 0: the Hessian is singular, exactly so at theta = 0
+        spec = ModelSpec("softmax-regression", input_dim=4, classes=2, l2_penalty=0.0)
+        rng = Rng(n)
+        d = Dataset(rng.normal(size=(n, 4)), np.arange(n) % 2, 2)
+        result = per_client_optimum(spec, ClientDataset(0, d, d))
+        assert np.linalg.norm(grad(spec, result.theta, d.features, d.labels)) <= 1e-6
+
+    def test_mlp_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="oracle.*model.kind"):
+            per_client_optimum(MLP_SPEC, make_client())
+
+    def test_at_most_ten_steps_on_group_recovery(self):
+        # a deterministic speed guard, in place of a wall-clock gate
+        cfg = parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg")
+        clients, spec = build_problem(cfg)
+        assert len(clients) == 12
+        for client in clients:
+            result = per_client_optimum(spec, client)
+            assert result.grad_norm <= 1e-6
+            assert result.steps <= 10
 
 
 # ----------------------------------------------------------------------

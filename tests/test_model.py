@@ -12,6 +12,7 @@ from fedfew.model import (
     grid_loss_and_grad,
     grid_predict,
     init_params,
+    softmax_hessian,
     stack_rows,
 )
 from fedfew.numerics import Rng
@@ -143,6 +144,28 @@ class TestGrad:
         for _ in range(10000):
             theta -= 0.5 * grid_loss_and_grad(spec, theta, rows)[1]
         assert np.linalg.norm(grid_loss_and_grad(spec, theta, rows)[1]) <= 1e-4
+
+
+class TestHessian:
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("l2", [0.0, 1e-4, 0.05])
+    def test_matches_finite_differences_of_the_gradient(self, classes, l2):
+        step = 1e-6
+        for seed in range(3):
+            spec, _, x, y = random_instance(seed, classes=classes, l2=l2)
+            rows = stack_rows(spec, [(x, y)])
+            theta = Rng(seed).split(3).normal(size=spec.dim)
+            h = softmax_hessian(spec, theta[None, None], rows)
+            assert h.shape == (spec.dim, spec.dim)
+            np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-15)
+            fd = np.empty_like(h)
+            for j in range(spec.dim):
+                e = np.zeros(spec.dim)
+                e[j] = step
+                hi = grid_loss_and_grad(spec, (theta + e)[None, None], rows)[1][0, 0]
+                lo = grid_loss_and_grad(spec, (theta - e)[None, None], rows)[1][0, 0]
+                fd[:, j] = (hi - lo) / (2.0 * step)
+            np.testing.assert_allclose(h, fd, rtol=0, atol=1e-8)
 
 
 class TestPredict:
