@@ -18,7 +18,7 @@ from .data import (
     gen_mixture,
     load_csv,
     pathological_partition,
-    split_train_validation,
+    split_indices,
 )
 from .scalarization import (
     ScalarizationWeights,

@@ -52,7 +52,6 @@ class Dataset:
 
 @dataclass
 class ClientDataset:
-    client_id: int
     train: Dataset
     validation: Dataset
     # Held-out draw from the same distribution when the generator can make
@@ -117,10 +116,8 @@ class DataConfig:
 
 
 def _circle_means(count: int, input_dim: int, separation: float) -> np.ndarray:
-    """Cluster centers with minimum pairwise distance = separation."""
+    """count >= 2 cluster centers with minimum pairwise distance = separation."""
     means = np.zeros((count, input_dim))
-    if count == 1:
-        return means
     if input_dim == 1:
         means[:, 0] = separation * np.arange(count)
         return means
@@ -140,7 +137,11 @@ def _balanced_labels(n: int, classes: int, rng: Rng) -> np.ndarray:
 
 def gen_mixture(data: DataConfig, M: int, rng: Rng,
                 validation_fraction: float = 0.2) -> list[ClientDataset]:
-    """Sample M grouped clients; clients within a group are i.i.d. draws."""
+    """Sample M grouped clients; clients within a group are i.i.d. draws.
+
+    Client i draws its train and validation rows from rng.split(i, 0), splits
+    them with rng.split(i, 1) and draws its test rows from rng.split(i, 2).
+    """
     G = data.groups
     sizes = data.clients_per_group or [M // G + (g < M % G) for g in range(G)]
     if len(sizes) != G:
@@ -151,47 +152,26 @@ def gen_mixture(data: DataConfig, M: int, rng: Rng,
                           f"mixture.clients_per_group entries must be positive, got {sizes}")
     if sum(sizes) != M:
         raise ConfigError(f"mixture.clients_per_group must sum to M={M}, got {sizes}")
-    C, p = data.classes, data.input_dim
+    C, p, n = data.classes, data.input_dim, data.samples_per_client
     if data.permute_labels:
         # shared feature clusters, per-group cyclic relabeling
-        cluster_means = _circle_means(C, p, data.separation)
-        def mean_for(group: int, label: int) -> np.ndarray:
-            return cluster_means[(label - group) % C]
+        shift = (np.arange(C) - np.arange(G)[:, None]) % C
+        means = _circle_means(C, p, data.separation)[shift]
     else:
-        all_means = _circle_means(G * C, p, data.separation)
-        def mean_for(group: int, label: int) -> np.ndarray:
-            return all_means[group * C + label]
+        means = _circle_means(G * C, p, data.separation).reshape(G, C, p)
+    # means[g, label]: the cluster center of label in group g, (G, C, p)
+
+    def draw(group: int, stream: Rng):
+        labels = _balanced_labels(n, C, stream)
+        return means[group, labels] + data.noise_std * stream.normal(size=(n, p)), labels
 
     clients: list[ClientDataset] = []
-    client_id = 0
-    for group, count in enumerate(sizes):
-        label_means = np.stack([mean_for(group, label) for label in range(C)])
-
-        def draw(n: int, stream: Rng) -> Dataset:
-            labels = _balanced_labels(n, C, stream)
-            feats = label_means[labels] + data.noise_std * stream.normal(size=(n, p))
-            return Dataset(feats, labels, C)
-
-        for _ in range(count):
-            crng = rng.split(client_id)
-            full = draw(data.samples_per_client, crng.split(0))
-            train, val = split_train_validation(full, validation_fraction, crng.split(1))
-            test = draw(data.samples_per_client, crng.split(2))
-            clients.append(ClientDataset(client_id, train, val, test=test, group=group))
-            client_id += 1
+    for i, group in enumerate(np.repeat(np.arange(G), sizes).tolist()):
+        x, y = draw(group, rng.split(i, 0))
+        train, val = split_indices(y, validation_fraction, rng.split(i, 1))
+        clients.append(ClientDataset(Dataset(x[train], y[train], C), Dataset(x[val], y[val], C),
+                                     test=Dataset(*draw(group, rng.split(i, 2)), C), group=group))
     return clients
-
-
-def _repair_small_clients(assignment: list[list[int]], minimum: int = 2) -> None:
-    """Move single samples from the largest client until all have >= minimum."""
-    sizes = [len(a) for a in assignment]
-    while min(sizes) < minimum:
-        donor = int(np.argmax(sizes))
-        needy = int(np.argmin(sizes))
-        if sizes[donor] <= minimum:
-            raise ConfigError("base dataset too small to give every client 2 samples")
-        assignment[needy].append(assignment[donor].pop())
-        sizes = [len(a) for a in assignment]
 
 
 _SPLIT_STREAM = 0xFFFF  # finalize-stream id, distinct from client ids
@@ -203,12 +183,22 @@ def _finalize_clients(
     rng: Rng,
     validation_fraction: float,
 ) -> list[ClientDataset]:
-    _repair_small_clients(assignment)
+    """Client i keeps base's rows assignment[i], in increasing order, split
+    with rng.split(i).  First, single rows move from the largest client to the
+    smallest until every client has at least 2."""
+    sizes = [len(a) for a in assignment]
+    while min(sizes) < 2:
+        donor, needy = int(np.argmax(sizes)), int(np.argmin(sizes))
+        if sizes[donor] <= 2:
+            raise ConfigError("base dataset too small to give every client 2 samples")
+        assignment[needy].append(assignment[donor].pop())
+        sizes[donor] -= 1
+        sizes[needy] += 1
     clients = []
     for i, idx in enumerate(assignment):
-        local = base.subset(sorted(idx))
-        train, val = split_train_validation(local, validation_fraction, rng.split(i))
-        clients.append(ClientDataset(i, train, val))
+        rows = np.sort(idx)
+        train, val = split_indices(base.labels[rows], validation_fraction, rng.split(i))
+        clients.append(ClientDataset(base.subset(rows[train]), base.subset(rows[val])))
     return clients
 
 
@@ -247,68 +237,57 @@ def pathological_partition(
     if classes_per_client * M < C:
         raise ConfigError(f"pathological.classes_per_client * M must cover all {C} classes")
     order = rng.permutation(C)
-    wanted: list[list[int]] = [[] for _ in range(M)]
-    for i in range(M):
-        for j in range(classes_per_client):
-            wanted[i].append(int(order[(i * classes_per_client + j) % C]))
-    takers: dict[int, list[int]] = {c: [] for c in range(C)}
-    for i in range(M):
-        for c in wanted[i]:
-            takers[c].append(i)
+    # client i wants classes order[(i * classes_per_client + j) % C], j < classes_per_client
+    wanted = order[np.arange(M * classes_per_client).reshape(M, -1) % C]
+    takes = (wanted[:, :, None] == np.arange(C)).any(axis=1)  # (M, C)
     assignment: list[list[int]] = [[] for _ in range(M)]
     for c in range(C):
         idx = np.flatnonzero(base.labels == c)
-        if idx.size == 0 or not takers[c]:
+        takers = np.flatnonzero(takes[:, c])
+        if idx.size == 0 or takers.size == 0:
             continue
         idx = idx[rng.permutation(idx.size)]
-        for client, shard in zip(takers[c], np.array_split(idx, len(takers[c]))):
+        for client, shard in zip(takers, np.array_split(idx, takers.size)):
             assignment[client].extend(shard.tolist())
     return _finalize_clients(base, assignment, rng.split(_SPLIT_STREAM), validation_fraction)
 
 
-def split_train_validation(d: Dataset, fraction: float, rng: Rng) -> tuple[Dataset, Dataset]:
-    """Disjoint split; validation gets ceil(fraction * n) rows, at least one.
+def split_indices(labels: np.ndarray, fraction: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint train and validation row indices, each in increasing order.
 
-    Stratified by class whenever every present class has >= 2 samples.
+    Validation aims at v = ceil(fraction * n) rows, clipped to [1, n - 1].
+    When every present class has >= 2 rows the split is stratified: class c
+    gives floor(fraction * n_c) rows, and the classes then give one more row
+    each, in order of largest remainder fraction * n_c - floor(fraction * n_c)
+    (ties to the lower class), round after round, until v is reached.  No
+    class gives more than n_c - 1 rows, so every class keeps a train row; when
+    the classes run out of spare rows validation stays below v.  At fraction
+    0.9 with classes of 2 and 10 rows, v is 11 and validation gets 1 + 9 = 10.
+    Otherwise validation is the first v rows of one permutation.
     """
-    if d.n < 2:
+    n = labels.size
+    if n < 2:
         raise ConfigError("cannot split a dataset with fewer than 2 samples")
     if not (0.0 < fraction < 1.0):
         raise ConfigError(f"validation_fraction must lie in (0, 1), got {fraction:g}")
-    v_total = min(max(1, math.ceil(fraction * d.n)), d.n - 1)
-    present = np.unique(d.labels)
-    counts = {int(c): int(np.sum(d.labels == c)) for c in present}
-    stratified = all(v >= 2 for v in counts.values())
-    if stratified:
-        caps = {c: counts[c] - 1 for c in counts}
-        take = {c: min(int(math.floor(fraction * counts[c])), caps[c]) for c in counts}
-        remainders = sorted(
-            counts, key=lambda c: (-(fraction * counts[c] - math.floor(fraction * counts[c])), c)
-        )
-        # take[c] <= floor(fraction * counts[c]) and <= counts[c] - 1, so short >= 0
-        short = v_total - sum(take.values())
-        while short > 0:
-            progressed = False
-            for c in remainders:
-                if short == 0:
-                    break
-                if take[c] < caps[c]:
-                    take[c] += 1
-                    short -= 1
-                    progressed = True
-            if not progressed:
-                break
-        val_idx: list[int] = []
-        for c in sorted(counts):
-            idx = np.flatnonzero(d.labels == c)
-            idx = idx[rng.permutation(idx.size)]
-            val_idx.extend(idx[: take[c]].tolist())
+    v_total = min(max(1, math.ceil(fraction * n)), n - 1)
+    present, counts = np.unique(labels, return_counts=True)
+    val_mask = np.zeros(n, dtype=bool)
+    if counts.min() >= 2:
+        caps = counts - 1
+        take = np.floor(fraction * counts).astype(np.int64)  # <= caps, as fraction < 1
+        order = np.argsort(take - fraction * counts, kind="stable")
+        short = v_total - int(take.sum())  # >= 0: take <= fraction * counts
+        while short > 0 and np.any(take < caps):
+            bump = order[take[order] < caps[order]][:short]
+            take[bump] += 1
+            short -= bump.size
+        for c, k in zip(present, take):
+            idx = np.flatnonzero(labels == c)
+            val_mask[idx[rng.permutation(idx.size)][:k]] = True
     else:
-        perm = rng.permutation(d.n)
-        val_idx = perm[:v_total].tolist()
-    val_mask = np.zeros(d.n, dtype=bool)
-    val_mask[val_idx] = True
-    return d.subset(np.flatnonzero(~val_mask)), d.subset(np.flatnonzero(val_mask))
+        val_mask[rng.permutation(n)[:v_total]] = True
+    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 
 def load_csv(path) -> Dataset:

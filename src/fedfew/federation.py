@@ -354,7 +354,7 @@ def run_local(
         new_thetas = local[:, 0]
         step_norm = float(np.mean(np.linalg.norm(thetas - new_thetas, axis=1))) / cfg.learning_rate
         traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
-                             np.array([step_norm]), 0))
+                             np.array([step_norm]), uploads_per_round("local", M, 1)))
         thetas = new_thetas
     return thetas, traces
 

@@ -179,6 +179,17 @@ class TestRunExperiment:
         rows = (tmp_path / "u" / "trace.csv").read_text().splitlines()[1:]
         assert all(int(r.split(",")[-1]) == 5 * (2 + 1) for r in rows)
 
+    def test_local_serves_each_client_its_own_model(self, tmp_path):
+        cfg = config_from_pairs(
+            {"method": "local", "M": "4", "K": "1", "T": "3", "seed": "5",
+             "mixture.G": "2", "mixture.n_per_client": "30"})
+        run_experiment(cfg, tmp_path / "l")
+        clients = (tmp_path / "l" / "clients.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in clients] == [row.split(",")[0] for row in clients]
+        assert len(clients) == 4
+        rows = (tmp_path / "l" / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(r.split(",")[-1] == "0" for r in rows)
+
 
 class TestRunAblation:
     def test_local_epochs_axis_preserves_total_updates(self, tmp_path):

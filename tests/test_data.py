@@ -1,8 +1,14 @@
 """Mixture generation, non-IID partitioning, splits, and CSV loading."""
 
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fedfew.cli import _read_pairs, config_from_pairs
 from fedfew.data import (
     ClientDataset,
     DataConfig,
@@ -11,10 +17,10 @@ from fedfew.data import (
     gen_mixture,
     load_csv,
     pathological_partition,
-    split_train_validation,
+    split_indices,
 )
 from fedfew.errors import ConfigError
-from fedfew.federation import per_client_optimum
+from fedfew.federation import build_problem, per_client_optimum
 from fedfew.metrics import accuracy
 from fedfew.model import ModelSpec
 from fedfew.numerics import Rng
@@ -46,7 +52,6 @@ class TestGenMixture:
         data = DataConfig(groups=3, clients_per_group=[2, 1, 2],
                           input_dim=2, classes=3, samples_per_client=30)
         clients = gen_mixture(data, 5, Rng(0))
-        assert [c.client_id for c in clients] == list(range(5))
         assert [c.group for c in clients] == [0, 0, 1, 2, 2]
         for c in clients:
             assert c.train.n + c.validation.n == 30
@@ -79,7 +84,7 @@ class TestGenMixture:
         # a converged single model stays near chance on the pooled data
         pooled = Dataset(feats, labels, 2)
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
-        theta = per_client_optimum(mspec, ClientDataset(0, pooled, pooled)).theta
+        theta = per_client_optimum(mspec, ClientDataset(pooled, pooled)).theta
         assert 0.45 <= accuracy(mspec, theta[None], [pooled])[0] <= 0.60
 
     def test_permutation_requires_enough_classes(self):
@@ -199,37 +204,104 @@ class TestPathologicalPartition:
             np.testing.assert_array_equal(all_rows(ca), all_rows(cb))
 
 
-class TestSplitTrainValidation:
+class TestSplitIndices:
     def test_sizes(self):
         d = balanced_base(2, 5)  # n = 10
-        train, val = split_train_validation(d, 0.2, Rng(0))
-        assert (train.n, val.n) == (8, 2)
+        train, val = split_indices(d.labels, 0.2, Rng(0))
+        assert (train.size, val.size) == (8, 2)
 
     def test_stratified_proportions(self):
-        d = balanced_base(4, 25)  # 25 per class
-        train, val = split_train_validation(d, 0.2, Rng(1))
+        labels = balanced_base(4, 25).labels  # 25 per class
+        train, val = split_indices(labels, 0.2, Rng(1))
         for cls in range(4):
-            n_val = np.sum(val.labels == cls)
-            n_train = np.sum(train.labels == cls)
+            n_val = np.sum(labels[val] == cls)
+            n_train = np.sum(labels[train] == cls)
             assert abs(n_val - 0.2 * (n_val + n_train)) <= 1.0
 
-    def test_disjoint(self):
-        d = balanced_base(2, 20)
-        train, val = split_train_validation(d, 0.3, Rng(2))
-        assert set(train.features[:, 0]) & set(val.features[:, 0]) == set()
-        assert train.n + val.n == d.n
+    def test_disjoint_increasing_and_complete(self):
+        train, val = split_indices(balanced_base(2, 20).labels, 0.3, Rng(2))
+        np.testing.assert_array_equal(np.sort(np.concatenate([train, val])), np.arange(40))
+        assert np.all(np.diff(train) > 0) and np.all(np.diff(val) > 0)
 
     def test_minimum_size(self):
-        tiny = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 1)
         with pytest.raises(ConfigError):
-            split_train_validation(tiny, 0.2, Rng(0))
+            split_indices(np.zeros(1, dtype=int), 0.2, Rng(0))
         with pytest.raises(ConfigError):
-            split_train_validation(balanced_base(2, 5), 1.0, Rng(0))
+            split_indices(balanced_base(2, 5).labels, 1.0, Rng(0))
 
     def test_validation_never_empty(self):
-        d = balanced_base(2, 2)
-        _, val = split_train_validation(d, 0.01, Rng(0))
-        assert val.n >= 1
+        _, val = split_indices(balanced_base(2, 2).labels, 0.01, Rng(0))
+        assert val.size >= 1
+
+    def test_a_class_at_its_cap_gives_fewer(self):
+        # ceil(0.9 * 12) = 11, but each class keeps a train row: 1 + 9 = 10
+        labels = np.repeat([0, 1], [2, 10])
+        train, val = split_indices(labels, 0.9, Rng(3))
+        assert np.bincount(labels[val]).tolist() == [1, 9]
+        assert np.bincount(labels[train]).tolist() == [1, 1]
+
+    def test_spare_rows_go_round_after_round(self):
+        # ceil(0.9 * 106) = 96; the three classes of 2 are at their cap after
+        # floor(1.8) = 1, so the class of 100 gives 90 and then three more
+        labels = np.repeat([0, 1, 2, 3], [2, 2, 2, 100])
+        _, val = split_indices(labels, 0.9, Rng(4))
+        assert np.bincount(labels[val]).tolist() == [1, 1, 1, 93]
+
+
+def client_digest(clients) -> str:
+    """sha256 of every split's shape, features and labels (little-endian) and
+    the group of each client, in order."""
+    h = hashlib.sha256()
+    for c in clients:
+        for split in (c.train, c.validation, c.test):
+            if split is None:
+                h.update(b"none")
+                continue
+            h.update(repr(split.features.shape).encode())
+            h.update(split.features.astype("<f8").tobytes())
+            h.update(split.labels.astype("<i8").tobytes())
+        h.update(repr(c.group).encode())
+    return h.hexdigest()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
+@pytest.fixture(scope="module")
+def csv_data(tmp_path_factory):
+    """scripts/make_csv_dataset.py's CSV with its default arguments."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    subprocess.run([sys.executable, str(CONFIGS.parent / "make_csv_dataset.py"), str(path)],
+                   check=True, capture_output=True)
+    return path
+
+
+class TestPinnedBytes:
+    """build_problem's clients, byte for byte: any change to a stream, its
+    draw order, the row order or the split rule changes these digests."""
+
+    @pytest.mark.parametrize("config, pairs, digest", [
+        ("group_recovery.cfg", {},
+         "27b9ee54eae350ec975ea7f0f7cfee3eaea7425e53f38020a7d8e57141b86474"),
+        ("group_recovery.cfg", {"seed": "31"},
+         "acf5628b81f53b2202a82bb65e6c942a79c09ae7a223fd3bf23716939bc64e89"),
+        ("group_recovery.cfg", {"mixture.input_dim": "1"},
+         "3826c1de8bdf1f78d742e093b44e47aca0c29e5a36020daf92edc62dea2ddfda"),
+        ("group_recovery.cfg", {"mixture.input_dim": "1", "seed": "31"},
+         "316f8a1185adec986d2e2212049b5a18251167ffcef78842c0bc1d1aa9782683"),
+        ("group_recovery.cfg", {"validation_fraction": "0.9"},
+         "927bd9d74037eed2c890b97adb6872d4563f5f5538088626bd3d02101ffa8a7a"),
+        ("dirichlet_csv.cfg", {},
+         "20b63422fd9c43dd8a8d5d9d1a206629e1e948eadd3a601651098e81ab48f070"),
+        ("dirichlet_csv.cfg", {"partition": "pathological"},
+         "9920f95115217b62ad21b3ecfcd05a9a47eca61b7be38fb99cb2be55d77f79e1"),
+    ])
+    def test_clients_match_their_digest(self, csv_data, config, pairs, digest):
+        values = {**_read_pairs(CONFIGS / config), **pairs}
+        if values.get("dataset") == "csv":
+            values["csv.path"] = str(csv_data)
+        clients, _ = build_problem(config_from_pairs(values))
+        assert client_digest(clients) == digest
 
 
 class TestLoadCsv:

@@ -35,14 +35,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-3)
 
 
-def make_client(seed=0, n=24, client_id=0) -> ClientDataset:
+def make_client(seed=0, n=24) -> ClientDataset:
     rng = Rng(seed)
     x = rng.normal(size=(n, 2))
     y = (x[:, 0] > 0).astype(int)
     d = Dataset(x, y, 2)
     train = d.subset(np.arange(0, n - 4))
     val = d.subset(np.arange(n - 4, n))
-    return ClientDataset(client_id, train, val)
+    return ClientDataset(train, val)
 
 
 def small_cfg(method="fedfew", K=2, rounds=4, seed=3, **data_kw):
@@ -137,7 +137,7 @@ class TestRunFedfew:
         # as mu grows the outer weights flatten to 1/M, so M times the
         # aggregate approaches the sample-size-weighted mean gradient; the
         # deviation scales like (loss spread) / mu
-        clients = [make_client(seed=s, n=20 + 4 * s, client_id=s) for s in range(3)]
+        clients = [make_client(seed=s, n=20 + 4 * s) for s in range(3)]
         sizes = np.array([c.train.n for c in clients], dtype=float)
         theta = init_params(SPEC, Rng(9).split(1, 0))  # the runner's init stream
         eta = 0.1
@@ -164,19 +164,19 @@ class TestRunFedfew:
 
 class TestSelectModels:
     def test_single_model_selects_zero(self):
-        clients = [make_client(seed=s, client_id=s) for s in range(3)]
+        clients = [make_client(seed=s) for s in range(3)]
         models = np.stack([init_params(SPEC, Rng(0))])
         sel = select_models(SPEC, models, clients)
         np.testing.assert_array_equal(sel.selected, 0)
 
     def test_identical_models_tie_break_lowest_index(self):
-        clients = [make_client(seed=s, client_id=s) for s in range(3)]
+        clients = [make_client(seed=s) for s in range(3)]
         theta = init_params(SPEC, Rng(0))
         sel = select_models(SPEC, np.stack([theta, theta.copy()]), clients)
         np.testing.assert_array_equal(sel.selected, 0)
 
     def test_losses_shape(self):
-        clients = [make_client(seed=s, client_id=s) for s in range(4)]
+        clients = [make_client(seed=s) for s in range(4)]
         models = np.stack([init_params(SPEC, Rng(s)) for s in range(3)])
         sel = select_models(SPEC, models, clients)
         assert sel.losses.shape == (4, 3)
@@ -205,7 +205,7 @@ class TestRunFedavg:
 
     def test_identical_clients_match_centralized_descent(self):
         base = make_client(seed=1)
-        clients = [ClientDataset(i, base.train, base.validation) for i in range(4)]
+        clients = [ClientDataset(base.train, base.validation) for _ in range(4)]
         cfg = ExperimentConfig(method="fedavg", clients=4, models=1, rounds=5, seed=6,
                                local_epochs=1, batch_size=10_000, learning_rate=0.2,
                                model=ModelConfig(l2_penalty=1e-3), data=DataConfig())
@@ -237,7 +237,7 @@ class TestRunIfca:
 
     def test_identical_clients_settle_on_lowest_index(self):
         base = make_client(seed=3)
-        clients = [ClientDataset(i, base.train, base.validation) for i in range(3)]
+        clients = [ClientDataset(base.train, base.validation) for _ in range(3)]
         cfg = ExperimentConfig(method="ifca", clients=3, models=2, rounds=4, seed=8,
                                local_epochs=1, batch_size=10_000, learning_rate=0.2,
                                model=ModelConfig(l2_penalty=1e-3), data=DataConfig())
@@ -309,7 +309,7 @@ class TestPerClientOptimum:
         x = np.array([[1.0, 2.0], [-1.0, -2.0], [1.0, 2.0], [-1.0, -2.0]])
         y = np.array([0, 0, 1, 1])
         d = Dataset(x, y, 2)
-        client = ClientDataset(0, d, d)
+        client = ClientDataset(d, d)
         result = per_client_optimum(SPEC, client)
         assert np.linalg.norm(result.theta) <= 1e-4
 
@@ -342,8 +342,26 @@ class TestPerClientOptimum:
         spec = ModelSpec("softmax-regression", input_dim=4, classes=2, l2_penalty=0.0)
         rng = Rng(n)
         d = Dataset(rng.normal(size=(n, 4)), np.arange(n) % 2, 2)
-        result = per_client_optimum(spec, ClientDataset(0, d, d))
+        result = per_client_optimum(spec, ClientDataset(d, d))
         assert np.linalg.norm(grad(spec, result.theta, d.features, d.labels)) <= 1e-6
+
+    def test_damped_steps_still_converge(self, monkeypatch):
+        # 17 spread-out rows and 3 random labels: a full Newton step fails the
+        # Armijo test twice (13 steps, 15 trials), so the line search halves
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return model.grid_loss_and_grad(*args)
+
+        monkeypatch.setattr(federation, "grid_loss_and_grad", counted)
+        spec = ModelSpec("softmax-regression", input_dim=4, classes=3, l2_penalty=1e-6)
+        rng = Rng(132)
+        d = Dataset(2.5 * rng.normal(size=(17, 4)), rng.integers(0, 3, size=17), 3)
+        result = per_client_optimum(spec, ClientDataset(d, d))
+        trials = len(calls) - 1  # the first call scores theta = 0
+        assert trials > result.steps
+        assert result.grad_norm <= 1e-6
 
     def test_mlp_is_a_config_error(self):
         with pytest.raises(ConfigError, match="oracle.*model.kind"):
@@ -370,7 +388,7 @@ MLP_SPEC = ModelSpec("mlp-1hidden", input_dim=2, classes=2, hidden_dim=3, l2_pen
 def uneven_clients():
     # train splits of 16, 23, 29 and 4 rows: with batches of 8 the clients
     # take 2, 3, 4 and 1 steps per epoch, and the last one draws no order
-    return [make_client(seed=s, n=n, client_id=s) for s, n in enumerate((20, 27, 33, 8))]
+    return [make_client(seed=s, n=n) for s, n in enumerate((20, 27, 33, 8))]
 
 
 def engine_cfg(method, K):

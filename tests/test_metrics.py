@@ -1,6 +1,7 @@
 """Accuracy, fairness, heterogeneity, coverage gap, weight diagnostics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,9 +43,10 @@ class TestAccuracy:
         assert accuracy(spec, np.zeros((1, spec.dim)), [d])[0] == pytest.approx(0.25)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy(SOFTMAX2, np.zeros((1, SOFTMAX2.dim)),
-                     [Dataset(np.zeros((1, 2)), np.zeros(1, int), 2).subset([])])
+        # Dataset itself rejects zero rows, so hand accuracy a bare split
+        empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
+        with pytest.raises(ValueError, match="each client needs n >= 1 rows"):
+            accuracy(SOFTMAX2, np.zeros((1, SOFTMAX2.dim)), [empty])
 
     def test_padding_rows_never_count(self):
         # every row is wrong, so the padding of the shorter client (label 0,
@@ -125,20 +127,20 @@ def unequal_clients():
         x = rng.normal(size=(n, 2))
         y = ((x[:, 0] > 0) ^ (i % 2)).astype(int)
         d = Dataset(x, y, 2)
-        clients.append(ClientDataset(i, d, d))
+        clients.append(ClientDataset(d, d))
     return clients
 
 
 class TestHeterogeneityDelta:
     def test_identical_clients_give_zero(self):
         d = toy_dataset(np.array([0, 1] * 10))
-        clients = [ClientDataset(i, d, d) for i in range(3)]
+        clients = [ClientDataset(d, d) for _ in range(3)]
         optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
         assert heterogeneity_delta(SOFTMAX2, optima, clients) <= 1e-6
 
     def test_single_client_is_exactly_zero(self):
         d = toy_dataset(np.array([0, 1] * 10))
-        clients = [ClientDataset(0, d, d)]
+        clients = [ClientDataset(d, d)]
         optima = [per_client_optimum(SOFTMAX2, clients[0]).theta]
         assert heterogeneity_delta(SOFTMAX2, optima, clients) == 0.0
 
