@@ -14,6 +14,7 @@ from .data import (
     ClientDataset,
     DataConfig,
     Dataset,
+    Problem,
     dirichlet_partition,
     gen_mixture,
     load_csv,
@@ -24,11 +25,9 @@ from .scalarization import (
     ScalarizationWeights,
     aggregate_gradients,
     compute_weights,
-    stch_set_value,
     tch_set_value,
 )
 from .federation import (
-    AssignmentResult,
     ExperimentConfig,
     ModelConfig,
     OptimumResult,

@@ -229,26 +229,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
     try:
         if oracle:
             check_oracle_model(cfg.model.kind)
-        clients, spec = build_problem(cfg)
-        result = _RUNNERS[cfg.method](cfg, clients, spec)
-        models, traces = result[0], result[1]
+        problem, spec = build_problem(cfg)
+        models, traces = _RUNNERS[cfg.method](cfg, problem, spec)
 
         if cfg.method == "local":
             selected = np.arange(cfg.clients)
         else:
-            selected = select_models(spec, models, clients).selected
+            selected = select_models(spec, models, problem.validation)
         served = models[selected]
-        # one split at a time: each call stacks the rows of its split only
-        train_accs = accuracy(spec, served, [c.train for c in clients])
-        val_accs = accuracy(spec, served, [c.validation for c in clients])
-        test_accs = accuracy(spec, served, [c.test_or_validation for c in clients])
+        train_accs = accuracy(spec, served, problem.train)
+        val_accs = accuracy(spec, served, problem.validation)
+        # partitioned data has no test split: its test accuracy is validation's
+        test_accs = val_accs if problem.test is None else accuracy(spec, served, problem.test)
         client_rows = [[i, int(selected[i]), train_accs[i], val_accs[i], test_accs[i]]
                        for i in range(cfg.clients)]
 
         mean_gap = None
         if oracle:
-            optima = [per_client_optimum(spec, c).theta for c in clients]
-            _, mean_gap = coverage_gap(spec, models, optima, clients)
+            optima = [per_client_optimum(spec, problem.train[i:i + 1, :, :n]).theta
+                      for i, n in enumerate(problem.train.counts)]
+            _, mean_gap = coverage_gap(spec, models, optima, problem.train)
 
         fairness = fairness_report(test_accs)
         summary = {  # summary.csv's columns

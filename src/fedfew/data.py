@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .model import ClientRows, ModelSpec, stack_rows
 from .numerics import Rng
 
 
@@ -25,18 +26,6 @@ class Dataset:
     labels: np.ndarray  # (n,) int64 in [0, class_count)
     class_count: int
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be a non-empty (n, p) matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must be one integer per row")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite entries")
-        if np.any(self.labels < 0) or np.any(self.labels >= self.class_count):
-            raise ValueError(f"labels must lie in [0, {self.class_count})")
-
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -45,24 +34,52 @@ class Dataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.class_count)
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.features[indices], self.labels[indices], self.class_count)
 
 
 @dataclass
 class ClientDataset:
     train: Dataset
     validation: Dataset
-    # Held-out draw from the same distribution when the generator can make
-    # one (mixture data); partitioned datasets have no natural test pool and
-    # fall back to the validation split for test-accuracy reporting.
-    test: Dataset | None = None
+    test: Dataset | None = None  # a held-out draw (mixture data); partitions have none
     group: int | None = None  # latent group label for mixture clients
 
-    @property
-    def test_or_validation(self) -> Dataset:
-        return self.test if self.test is not None else self.validation
+
+@dataclass(frozen=True)
+class Problem:
+    """A run's M clients, each split stacked once for the grid kernel.
+    problem[i] is client i's unpadded splits, for readers of one client."""
+
+    train: ClientRows
+    validation: ClientRows
+    test: ClientRows | None  # None for partitioned data
+    classes: int
+    groups: np.ndarray | None = None  # (M,) latent group of each mixture client
+
+    def __post_init__(self):
+        for rows in (self.train, self.validation, self.test):
+            if rows is not None and not np.isfinite(rows.x).all():
+                raise ValueError("features contain non-finite entries")
+
+    @classmethod
+    def from_clients(cls, spec: ModelSpec, clients: list[ClientDataset]) -> "Problem":
+        """Stack the train and validation splits of per-client datasets."""
+        train, validation = (stack_rows(spec, [(d.features, d.labels) for d in split])
+                             for split in zip(*((c.train, c.validation) for c in clients)))
+        return cls(train, validation, None, spec.classes)
+
+    def __len__(self) -> int:
+        return len(self.train.x)
+
+    def __getitem__(self, i: int) -> ClientDataset:
+        def view(rows: ClientRows) -> Dataset:
+            n = np.count_nonzero(rows.weights[i, 0])
+            return Dataset(rows.x[i, 0, :n, :-1], rows.labels[i, 0, :n], self.classes)
+
+        return ClientDataset(view(self.train), view(self.validation),
+                             None if self.test is None else view(self.test),
+                             None if self.groups is None else int(self.groups[i]))
 
 
 @dataclass
@@ -136,7 +153,7 @@ def _balanced_labels(n: int, classes: int, rng: Rng) -> np.ndarray:
 
 
 def gen_mixture(data: DataConfig, M: int, rng: Rng,
-                validation_fraction: float = 0.2) -> list[ClientDataset]:
+                validation_fraction: float = 0.2) -> Problem:
     """Sample M grouped clients; clients within a group are i.i.d. draws.
 
     Client i draws its train and validation rows from rng.split(i, 0), splits
@@ -165,13 +182,20 @@ def gen_mixture(data: DataConfig, M: int, rng: Rng,
         labels = _balanced_labels(n, C, stream)
         return means[group, labels] + data.noise_std * stream.normal(size=(n, p)), labels
 
-    clients: list[ClientDataset] = []
-    for i, group in enumerate(np.repeat(np.arange(G), sizes).tolist()):
+    groups = np.repeat(np.arange(G), sizes)
+    stacks = None
+    for i, group in enumerate(groups.tolist()):
         x, y = draw(group, rng.split(i, 0))
         train, val = split_indices(y, validation_fraction, rng.split(i, 1))
-        clients.append(ClientDataset(Dataset(x[train], y[train], C), Dataset(x[val], y[val], C),
-                                     test=Dataset(*draw(group, rng.split(i, 2)), C), group=group))
-    return clients
+        parts = ((x[train], y[train]), (x[val], y[val]), draw(group, rng.split(i, 2)))
+        if stacks is None:  # every client has the same class counts, so the same split sizes;
+            # each client overwrites all of x but the bias column of ones
+            stacks = [ClientRows(np.ones((M, 1, k, p + 1)), np.zeros((M, 1, k), dtype=np.int64),
+                                 np.full((M, 1, k), 1.0 / k)) for k in (y.size for _, y in parts)]
+        for rows, (features, labels) in zip(stacks, parts):
+            rows.x[i, 0, :, :p] = features
+            rows.labels[i, 0] = labels
+    return Problem(*stacks, classes=C, groups=groups)
 
 
 _SPLIT_STREAM = 0xFFFF  # finalize-stream id, distinct from client ids

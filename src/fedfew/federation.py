@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    ClientDataset,
     DataConfig,
+    Problem,
     dirichlet_partition,
     gen_mixture,
     load_csv,
@@ -35,7 +35,7 @@ from .data import (
 from .errors import ConfigError
 from .metrics import weight_diagnostics
 from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses,
-                    grid_loss_and_grad, init_params, softmax_hessian, stack_rows)
+                    grid_loss_and_grad, init_params, softmax_hessian)
 from .numerics import Rng
 from .scalarization import aggregate_gradients, compute_weights
 
@@ -101,17 +101,10 @@ class RoundTrace:
 
 
 @dataclass
-class AssignmentResult:
-    selected: np.ndarray  # (M,) chosen model index, ties to lowest index
-    losses: np.ndarray  # (M, K) per-client loss of every model
-
-
-@dataclass
 class OptimumResult:
     theta: np.ndarray
     grad_norm: float
     steps: int
-    converged: bool  # grad_norm <= 1e-3; False only flags it, the run goes on
 
 
 def uploads_per_round(method: str, M: int, K: int) -> int:
@@ -125,12 +118,12 @@ def uploads_per_round(method: str, M: int, K: int) -> int:
     return 0
 
 
-def build_problem(cfg: ExperimentConfig) -> tuple[list[ClientDataset], ModelSpec]:
-    """Materialize clients and the model spec from the configuration."""
+def build_problem(cfg: ExperimentConfig) -> tuple[Problem, ModelSpec]:
+    """Materialize the stacked clients and the model spec from the configuration."""
     data_rng = Rng(cfg.seed).split(STREAM_DATA)
     dc = cfg.data
     if dc.dataset == "mixture":
-        clients = gen_mixture(dc, cfg.clients, data_rng, cfg.validation_fraction)
+        problem = gen_mixture(dc, cfg.clients, data_rng, cfg.validation_fraction)
         p, C = dc.input_dim, dc.classes
     else:
         base = load_csv(dc.csv_path)
@@ -150,7 +143,9 @@ def build_problem(cfg: ExperimentConfig) -> tuple[list[ClientDataset], ModelSpec
         hidden_dim=cfg.model.hidden_dim if cfg.model.kind == MLP else 0,
         l2_penalty=cfg.model.l2_penalty,
     )
-    return clients, model_spec
+    if dc.dataset != "mixture":
+        problem = Problem.from_clients(model_spec, clients)
+    return problem, model_spec
 
 
 def _batch_plan(counts: np.ndarray, batch_size: int):
@@ -233,19 +228,17 @@ def _local_round(cfg: ExperimentConfig, spec, rows, grid, t: int, streams, model
     return local, losses, grads
 
 
-def _problem(cfg: ExperimentConfig, clients, spec
+def _problem(cfg: ExperimentConfig, problem, spec
              ) -> tuple[ModelSpec, np.ndarray, np.ndarray, ClientRows]:
     """The spec, the train sizes, each client's share n_i / sum_j n_j of the
     train rows (the sample-size weighting of every method) and the stacked
     train splits of a run."""
-    if clients is None:
-        clients, spec = build_problem(cfg)
-    if len(clients) != cfg.clients:
-        raise ConfigError(f"config says M={cfg.clients} but {len(clients)} clients were built")
-    sizes = np.array([c.train.n for c in clients], dtype=np.float64)
-    share = sizes / sizes.sum()
-    rows = stack_rows(spec, [(c.train.features, c.train.labels) for c in clients])
-    return spec, sizes, share, rows
+    if problem is None:
+        problem, spec = build_problem(cfg)
+    if len(problem) != cfg.clients:
+        raise ConfigError(f"config says M={cfg.clients} but {len(problem)} clients were built")
+    sizes = problem.train.counts.astype(np.float64)
+    return spec, sizes, sizes / sizes.sum(), problem.train
 
 
 def _trace(t, weights, grad_norms, uploads) -> RoundTrace:
@@ -264,14 +257,14 @@ def _init_models(spec: ModelSpec, seed: int, count: int) -> np.ndarray:
 
 def run_fedfew(
     cfg: ExperimentConfig,
-    clients: list[ClientDataset] | None = None,
+    problem: Problem | None = None,
     spec: ModelSpec | None = None,
     gradient_mode: str = "lookahead",
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Joint optimization of K server models via smooth set scalarization."""
     if gradient_mode not in ("lookahead", "delta"):
         raise ConfigError(f"unknown gradient_mode {gradient_mode!r}")
-    spec, _, share, rows = _problem(cfg, clients, spec)
+    spec, _, share, rows = _problem(cfg, problem, spec)
     M, K = cfg.clients, cfg.models
     thetas = _init_models(spec, cfg.seed, K)
     models = np.broadcast_to(np.arange(K), (M, K))
@@ -290,11 +283,11 @@ def run_fedfew(
 
 def run_fedavg(
     cfg: ExperimentConfig,
-    clients: list[ClientDataset] | None = None,
+    problem: Problem | None = None,
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Single global model via sample-size-weighted parameter averaging."""
-    spec, _, share, rows = _problem(cfg, clients, spec)
+    spec, _, share, rows = _problem(cfg, problem, spec)
     M = cfg.clients
     theta = _init_models(spec, cfg.seed, 1)[0]
     models = np.zeros((M, 1), dtype=np.int64)
@@ -312,15 +305,14 @@ def run_fedavg(
 
 def run_ifca(
     cfg: ExperimentConfig,
-    clients: list[ClientDataset] | None = None,
+    problem: Problem | None = None,
     spec: ModelSpec | None = None,
-) -> tuple[np.ndarray, list[RoundTrace], list[AssignmentResult]]:
+) -> tuple[np.ndarray, list[RoundTrace]]:
     """Hard clustering: clients train only their current best model."""
-    spec, sizes, share, rows = _problem(cfg, clients, spec)
+    spec, sizes, share, rows = _problem(cfg, problem, spec)
     M, K = cfg.clients, cfg.models
     thetas = _init_models(spec, cfg.seed, K)
     traces: list[RoundTrace] = []
-    assignments: list[AssignmentResult] = []
     for t in range(1, cfg.rounds + 1):
         eval_losses = _grid_losses(spec, thetas, rows)
         choice = np.argmin(eval_losses, axis=1)[:, None]  # (M, 1)
@@ -332,18 +324,17 @@ def run_ifca(
         norms = np.linalg.norm(thetas - new_thetas, axis=1) / cfg.learning_rate
         traces.append(_trace(t, compute_weights(eval_losses * share[:, None], cfg.mu), norms,
                              uploads_per_round("ifca", M, K)))
-        assignments.append(AssignmentResult(selected=choice[:, 0], losses=eval_losses))
         thetas = new_thetas
-    return thetas, traces, assignments
+    return thetas, traces
 
 
 def run_local(
     cfg: ExperimentConfig,
-    clients: list[ClientDataset] | None = None,
+    problem: Problem | None = None,
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Every client trains its own model; no communication at all."""
-    spec, _, share, rows = _problem(cfg, clients, spec)
+    spec, _, share, rows = _problem(cfg, problem, spec)
     M = cfg.clients
     thetas = _init_models(spec, cfg.seed, M)  # one model per client
     streams = np.zeros((M, 1), dtype=np.int64)
@@ -359,11 +350,9 @@ def run_local(
     return thetas, traces
 
 
-def select_models(spec: ModelSpec, models: np.ndarray, clients: list[ClientDataset]) -> AssignmentResult:
-    """Post-training selection: argmin validation loss, ties to lowest index."""
-    rows = stack_rows(spec, [(c.validation.features, c.validation.labels) for c in clients])
-    losses = _grid_losses(spec, np.atleast_2d(models), rows)
-    return AssignmentResult(selected=np.argmin(losses, axis=1), losses=losses)
+def select_models(spec: ModelSpec, models: np.ndarray, validation: ClientRows) -> np.ndarray:
+    """Post-training selection: (M,) argmin validation loss, ties to lowest index."""
+    return np.argmin(_grid_losses(spec, np.atleast_2d(models), validation), axis=1)
 
 
 def check_oracle_model(kind: str) -> None:
@@ -373,15 +362,14 @@ def check_oracle_model(kind: str) -> None:
                           "only a convex model has one optimum per client")
 
 
-def per_client_optimum(spec: ModelSpec, client: ClientDataset) -> OptimumResult:
-    """Damped Newton with Armijo backtracking on the client's full train loss
-    (Boyd & Vandenberghe, Convex Optimization, 9.5), from theta = 0.
+def per_client_optimum(spec: ModelSpec, rows: ClientRows) -> OptimumResult:
+    """Damped Newton with Armijo backtracking on one client's full train loss, its
+    unpadded rows (1, 1, n_i) (Boyd & Vandenberghe, Convex Optimization, 9.5), from theta = 0.
 
     With l2 > 0 the Hessian is positive definite; at l2 = 0 it is singular
     (exactly so at theta = 0), and the step is the minimum-norm solution.
     """
     check_oracle_model(spec.kind)
-    rows = stack_rows(spec, [(client.train.features, client.train.labels)])
     theta = np.zeros((1, 1, spec.dim))  # a grid of one pair
     f, g = grid_loss_and_grad(spec, theta, rows)
     steps = 0
@@ -403,4 +391,4 @@ def per_client_optimum(spec: ModelSpec, client: ClientDataset) -> OptimumResult:
         theta, f, g = trial, f_trial, g_trial
         gnorm = float(np.linalg.norm(g))
         steps += 1
-    return OptimumResult(theta=theta[0, 0], grad_norm=gnorm, steps=steps, converged=gnorm <= 1e-3)
+    return OptimumResult(theta=theta[0, 0], grad_norm=gnorm, steps=steps)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientDataset, Dataset
-from .model import ModelSpec, _blocks, _grid_losses, grid_predict, stack_rows
+from .model import ClientRows, ModelSpec, _blocks, _grid_losses, grid_predict
 from .scalarization import ScalarizationWeights
 
 
@@ -26,11 +25,10 @@ class FairnessReport:
     jain_index: float
 
 
-def accuracy(spec: ModelSpec, models, datasets: list[Dataset]) -> np.ndarray:
-    """(M,) fraction of the rows of datasets[i] where the argmax prediction of
-    models[i] (M, d) equals the label."""
-    rows = stack_rows(spec, [(d.features, d.labels) for d in datasets])
-    correct = np.empty(len(datasets), dtype=np.int64)
+def accuracy(spec: ModelSpec, models, rows: ClientRows) -> np.ndarray:
+    """(M,) fraction of client i's rows, of a stacked split, where the argmax
+    prediction of models[i] (M, d) equals the label."""
+    correct = np.empty(rows.x.shape[0], dtype=np.int64)
     for ids, counts in _blocks(rows):
         part = rows[ids, :, : counts[0]]
         hits = (grid_predict(spec, models[ids, None], part) == part.labels) & (part.weights > 0)
@@ -60,18 +58,14 @@ def fairness_report(accuracies) -> FairnessReport:
     )
 
 
-def _train_rows(spec: ModelSpec, clients: list[ClientDataset]):
-    return stack_rows(spec, [(c.train.features, c.train.labels) for c in clients])
-
-
 def heterogeneity_delta(
-    spec: ModelSpec, client_optima: list[np.ndarray], clients: list[ClientDataset]
+    spec: ModelSpec, client_optima: list[np.ndarray], train: ClientRows
 ) -> float:
     """max over ordered pairs (i, j) of L_i(theta_j*) - L_i(theta_i*).
 
     Full train losses; zero when every client shares the same optimum.
     """
-    cross = _grid_losses(spec, np.stack(client_optima), _train_rows(spec, clients))  # L_i(theta_j*)
+    cross = _grid_losses(spec, np.stack(client_optima), train)  # L_i(theta_j*)
     return float(np.max(cross - np.diag(cross)[:, None]))
 
 
@@ -79,16 +73,15 @@ def coverage_gap(
     spec: ModelSpec,
     models: np.ndarray,
     client_optima: list[np.ndarray],
-    clients: list[ClientDataset],
+    train: ClientRows,
 ) -> tuple[np.ndarray, float]:
     """Per-client min_k L_i(theta_k) - L_i(theta_i*), clamped at zero.
 
     The clamp absorbs numerical noise from the approximate optimum solver;
     the true quantity is nonnegative by definition of the optimum.
     """
-    rows = _train_rows(spec, clients)
-    best = _grid_losses(spec, np.atleast_2d(models), rows).min(axis=1)
-    own = _grid_losses(spec, np.stack(client_optima)[:, None], rows)[:, 0]
+    best = _grid_losses(spec, np.atleast_2d(models), train).min(axis=1)
+    own = _grid_losses(spec, np.stack(client_optima)[:, None], train)[:, 0]
     gaps = np.maximum(0.0, best - own)
     return gaps, float(np.mean(gaps))
 

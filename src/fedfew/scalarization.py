@@ -69,11 +69,6 @@ def compute_weights(values, mu: float) -> ScalarizationWeights:
                                 value=log_sum_exp(inner, mu))
 
 
-def stch_set_value(values, mu: float) -> float:
-    """Smooth surrogate, evaluated entirely in the shifted log domain."""
-    return compute_weights(values, mu).value
-
-
 def aggregate_gradients(weights: ScalarizationWeights, grads: np.ndarray) -> np.ndarray:
     """Per-model gradients: out[k] = sum_i alpha_i * w[i, k] * grads[i, k].
 

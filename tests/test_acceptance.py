@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from fedfew.cli import config_from_pairs, main, run_experiment
-from fedfew.data import Dataset
 from fedfew.federation import (
     DataConfig,
     ExperimentConfig,
@@ -35,7 +34,6 @@ from fedfew.numerics import Rng, log_sum_exp, smooth_min
 from fedfew.scalarization import (
     aggregate_gradients,
     compute_weights,
-    stch_set_value,
     tch_set_value,
 )
 from perpair import grad, loss
@@ -68,20 +66,20 @@ def flagship_runs():
     out = []
     for seed in range(20):
         cfg = flagship_cfg(seed)
-        clients, spec = build_problem(cfg)
-        groups = np.array([c.group for c in clients])
+        problem, spec = build_problem(cfg)
+        groups = problem.groups
 
-        models, _ = run_fedfew(cfg, clients, spec)
-        sel = select_models(spec, models, clients).selected
-        tests = [c.test for c in clients]
+        models, _ = run_fedfew(cfg, problem, spec)
+        sel = select_models(spec, models, problem.validation)
+        tests = problem.test
         fed_accs = accuracy(spec, models[sel], tests)
         purity = all(len(set(sel[groups == g].tolist())) == 1 for g in range(3))
 
-        avg_models, _ = run_fedavg(flagship_cfg(seed, "fedavg", K=1), clients, spec)
-        avg_acc = float(np.mean(accuracy(spec, avg_models[np.zeros(len(clients), int)], tests)))
+        avg_models, _ = run_fedavg(flagship_cfg(seed, "fedavg", K=1), problem, spec)
+        avg_acc = float(np.mean(accuracy(spec, avg_models[np.zeros(len(problem), int)], tests)))
 
-        ifca_models, _, _ = run_ifca(flagship_cfg(seed, "ifca"), clients, spec)
-        sel_i = select_models(spec, ifca_models, clients).selected
+        ifca_models, _ = run_ifca(flagship_cfg(seed, "ifca"), problem, spec)
+        sel_i = select_models(spec, ifca_models, problem.validation)
         ifca_accs = accuracy(spec, ifca_models[sel_i], tests)
 
         out.append({
@@ -133,8 +131,8 @@ def test_criterion_1_gradient_consistency():
             for c in range(spec.dim):
                 up = thetas.copy(); up[j, c] += h
                 dn = thetas.copy(); dn[j, c] -= h
-                fd[j, c] = (stch_set_value(weighted_losses(up), mu)
-                            - stch_set_value(weighted_losses(dn), mu)) / (2 * h)
+                fd[j, c] = (compute_weights(weighted_losses(up), mu).value
+                            - compute_weights(weighted_losses(dn), mu).value) / (2 * h)
         rel = np.linalg.norm(fd - agg) / max(np.linalg.norm(agg), 1e-12)
         worst = max(worst, rel)
     elapsed = time.time() - start
@@ -166,7 +164,7 @@ def test_criterion_2a_sandwich_as_stated():
         m = raw.shape[0]
         lm = raw * (np.ones(m) / m)[:, None]  # equal shares
         for mu in (1e-3, 1e-2, 0.1, 1.0):
-            s = stch_set_value(lm, mu)
+            s = compute_weights(lm, mu).value
             t = tch_set_value(lm)
             if not (s - mu * (math.log(m) + math.log(raw.shape[1])) - 1e-12 <= t <= s + 1e-12):
                 violations += 1
@@ -182,7 +180,7 @@ def test_criterion_2b_sandwich_corrected():
         m, k = raw.shape
         lm = raw * (np.ones(m) / m)[:, None]  # equal shares
         for mu in (1e-3, 1e-2, 0.1, 1.0):
-            s = stch_set_value(lm, mu)
+            s = compute_weights(lm, mu).value
             t = tch_set_value(lm)
             if not (s - mu * math.log(m) - 1e-12 <= t <= s + mu * math.log(k) + 1e-12):
                 violations += 1
@@ -303,11 +301,12 @@ def test_criterion_6_coverage_gap_monotonicity():
     means = {1: [], 2: [], 3: []}
     for seed in range(10):
         cfg = coverage_cfg(seed, 1)
-        clients, spec = build_problem(cfg)
-        optima = [per_client_optimum(spec, c).theta for c in clients]
+        problem, spec = build_problem(cfg)
+        train = problem.train
+        optima = [per_client_optimum(spec, train[i:i + 1]).theta for i in range(len(problem))]
         for K in (1, 2, 3):
-            models, _ = run_fedfew(coverage_cfg(seed, K), clients, spec)
-            _, mean_gap = coverage_gap(spec, models, optima, clients)
+            models, _ = run_fedfew(coverage_cfg(seed, K), problem, spec)
+            _, mean_gap = coverage_gap(spec, models, optima, train)
             means[K].append(mean_gap)
     g1, g2, g3 = (float(np.mean(means[K])) for K in (1, 2, 3))
     ok = g1 > g2 > g3 and g3 <= 1e-2
@@ -361,11 +360,11 @@ def _tradeoff_accuracies(gradient_mode: str) -> dict[int, float]:
         accs = []
         for seed in range(10):
             cfg = tradeoff_cfg(seed, E)
-            clients, spec = build_problem(cfg)
-            models, traces = run_fedfew(cfg, clients, spec, gradient_mode=gradient_mode)
+            problem, spec = build_problem(cfg)
+            models, traces = run_fedfew(cfg, problem, spec, gradient_mode=gradient_mode)
             assert sum(t.uploads for t in traces) == cfg.clients * cfg.models * cfg.rounds
-            sel = select_models(spec, models, clients).selected
-            accs.append(np.mean(accuracy(spec, models[sel], [c.test for c in clients])))
+            sel = select_models(spec, models, problem.validation)
+            accs.append(np.mean(accuracy(spec, models[sel], problem.test)))
         means[E] = float(np.mean(accs))
     return means
 
@@ -424,9 +423,10 @@ def test_criterion_10_pareto_witness():
                         separation=1.0, noise_std=0.3, samples_per_client=40),
         model=ModelConfig(kind="softmax-regression", l2_penalty=0.5),
     )
-    clients, spec = build_problem(cfg)
+    problem, spec = build_problem(cfg)
+    clients = list(problem)
     assert spec.dim <= 10
-    models, traces = run_fedfew(cfg, clients, spec)
+    models, traces = run_fedfew(cfg, problem, spec)
     final_norms = traces[-1].grad_norms
     # recompute the certifying weights at the terminal point
     sizes = np.array([c.train.n for c in clients], float)

@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedfew import cli
+from fedfew import cli, model
 from fedfew.cli import (
     FLOAT,
     KEYS,
@@ -18,6 +20,7 @@ from fedfew.cli import (
     run_ablation,
     run_experiment,
 )
+from fedfew.data import DataConfig, Dataset
 from fedfew.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,6 +194,49 @@ class TestRunExperiment:
         assert len(rows) == 3 and all(r.split(",")[-1] == "0" for r in rows)
 
 
+def record_calls(monkeypatch, fn, event, events):
+    """Append event to events when a call of fn, through any fedfew module, returns."""
+    def recorded(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        events.append(event)
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fedfew."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+
+
+class TestStackOnce:
+    """build_problem stacks each split once; the run reads only the stacks."""
+
+    @pytest.mark.parametrize("dataset", ["mixture", "csv"])
+    def test_oracle_run_stacks_nothing_after_build(self, tmp_path, monkeypatch, dataset):
+        events = []
+        record_calls(monkeypatch, model.stack_rows, "stack_rows", events)
+        record_calls(monkeypatch, cli.build_problem, "build_problem", events)
+        init = Dataset.__init__
+
+        def recorded_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            events.append("Dataset")
+
+        monkeypatch.setattr(Dataset, "__init__", recorded_init)
+        cfg = replace(parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg"),
+                      rounds=5)
+        if dataset == "csv":
+            data = DataConfig(dataset="csv", csv_path=str(write_csv_data(tmp_path / "d.csv")))
+            cfg = replace(cfg, data=data)
+        run_experiment(cfg, tmp_path / "out", oracle=True)
+        assert events.count("build_problem") == 1
+        assert events[-1] == "build_problem"
+        if dataset == "mixture":  # written straight into the stacks
+            assert events == ["build_problem"]
+        else:  # per-client Datasets, then one stack per split (no test split)
+            assert events.count("stack_rows") == 2
+
+
 class TestRunAblation:
     def test_local_epochs_axis_preserves_total_updates(self, tmp_path):
         text = BASE.replace("T=8", "T=240") + "ablate.local_epochs=1,2,4\n"
@@ -253,6 +299,22 @@ class TestMainExitCodes:
         path = write_cfg(tmp_path, "method=fedavg\nM=4\nK=3\nT=5\nseed=1\n")
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dataset", ["mixture", "csv"])
+    def test_non_finite_features_exit_three_and_write_nothing(self, tmp_path, capsys, dataset):
+        if dataset == "mixture":  # the circle radius of 20 classes overflows
+            text = with_keys(BASE, **{"mixture.sep": "1e308", "mixture.classes": "20"})
+        else:
+            data = write_csv_data(tmp_path / "data.csv")
+            rows = data.read_text().splitlines()
+            rows[7] = "nan," + rows[7].split(",", 1)[1]
+            data.write_text("\n".join(rows) + "\n")
+            text = f"method=fedavg\nM=3\nK=1\nT=2\nseed=1\ndataset=csv\ncsv.path={data}\n"
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "nonfinite"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert "features contain non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_error_is_exit_three(self, tmp_path, capsys):
         text = "method=fedfew\nM=4\nK=2\nT=3\nseed=1\ndataset=csv\ncsv.path=/nope.csv\n"

@@ -22,7 +22,7 @@ from fedfew.data import (
 from fedfew.errors import ConfigError
 from fedfew.federation import build_problem, per_client_optimum
 from fedfew.metrics import accuracy
-from fedfew.model import ModelSpec
+from fedfew.model import ModelSpec, stack_rows
 from fedfew.numerics import Rng
 
 
@@ -61,9 +61,10 @@ class TestGenMixture:
         data = DataConfig(groups=1, clients_per_group=[3], input_dim=3, classes=2,
                           separation=2.0, noise_std=0.1, samples_per_client=80)
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
-        for client in gen_mixture(data, 3, Rng(1)):
-            theta = per_client_optimum(mspec, client).theta
-            assert accuracy(mspec, theta[None], [client.train])[0] >= 0.99
+        train = gen_mixture(data, 3, Rng(1)).train
+        for i in range(3):
+            theta = per_client_optimum(mspec, train[i:i + 1]).theta
+            assert accuracy(mspec, theta[None], train[i:i + 1])[0] >= 0.99
 
     def test_permuted_labels_are_exactly_contradictory(self):
         # shared clusters, swapped labels: pooling balanced groups gives each
@@ -82,10 +83,10 @@ class TestGenMixture:
             members = labels[cluster == j]
             assert np.sum(members == 0) == np.sum(members == 1)
         # a converged single model stays near chance on the pooled data
-        pooled = Dataset(feats, labels, 2)
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
-        theta = per_client_optimum(mspec, ClientDataset(pooled, pooled)).theta
-        assert 0.45 <= accuracy(mspec, theta[None], [pooled])[0] <= 0.60
+        pooled = stack_rows(mspec, [(feats, labels)])
+        theta = per_client_optimum(mspec, pooled).theta
+        assert 0.45 <= accuracy(mspec, theta[None], pooled)[0] <= 0.60
 
     def test_permutation_requires_enough_classes(self):
         with pytest.raises(ConfigError, match="mixture.permute_labels"):

@@ -8,7 +8,7 @@ import pytest
 
 from fedfew import federation, model
 from fedfew.cli import parse_config
-from fedfew.data import ClientDataset, Dataset
+from fedfew.data import ClientDataset, Dataset, Problem
 from fedfew.errors import ConfigError
 from fedfew.federation import (
     STREAM_BATCH,
@@ -45,6 +45,28 @@ def make_client(seed=0, n=24) -> ClientDataset:
     return ClientDataset(train, val)
 
 
+def stacked(clients, spec=SPEC) -> Problem:
+    return Problem.from_clients(spec, clients)
+
+
+def train_rows(client, spec=SPEC):
+    """The client's train split as the one-client stack the oracle takes."""
+    return stack_rows(spec, [(client.train.features, client.train.labels)])
+
+
+def record_ifca_choices(monkeypatch) -> list:
+    """Each round's (M,) model choice, as run_ifca hands it to _local_round."""
+    choices = []
+
+    def recording(cfg, spec, rows, grid, t, streams, models):
+        choices.append(models[:, 0].copy())
+        return local_round(cfg, spec, rows, grid, t, streams, models)
+
+    local_round = federation._local_round
+    monkeypatch.setattr(federation, "_local_round", recording)
+    return choices
+
+
 def small_cfg(method="fedfew", K=2, rounds=4, seed=3, **data_kw):
     data = DataConfig(dataset="mixture", groups=2, classes=2, input_dim=2,
                       separation=1.0, noise_std=0.25, samples_per_client=40, **data_kw)
@@ -56,9 +78,8 @@ def small_cfg(method="fedfew", K=2, rounds=4, seed=3, **data_kw):
 def client_round(client, theta, epochs, batch_size, eta, rng):
     """One client's local round: local_training on a grid of one pair, whose
     batches all come from rng.  Returns the uploaded gradient and the loss."""
-    rows = stack_rows(SPEC, [(client.train.features, client.train.labels)])
-    _, losses, grads = local_training(SPEC, rows, theta[None, None], epochs, batch_size, eta,
-                                      lambda i, k: rng)
+    _, losses, grads = local_training(SPEC, train_rows(client), theta[None, None], epochs,
+                                      batch_size, eta, lambda i, k: rng)
     return grads[0, 0], float(losses[0, 0])
 
 
@@ -151,7 +172,7 @@ class TestRunFedfew:
                                    local_epochs=1, batch_size=10_000, learning_rate=eta,
                                    mu=mu, model=ModelConfig(l2_penalty=1e-3),
                                    data=DataConfig())
-            models, _ = run_fedfew(cfg, clients, SPEC)
+            models, _ = run_fedfew(cfg, stacked(clients), SPEC)
             start = init_params(SPEC, Rng(9).split(1, 0))
             return (start - models[0]) / eta  # the aggregated gradient
 
@@ -164,23 +185,24 @@ class TestRunFedfew:
 
 class TestSelectModels:
     def test_single_model_selects_zero(self):
-        clients = [make_client(seed=s) for s in range(3)]
+        validation = stacked([make_client(seed=s) for s in range(3)]).validation
         models = np.stack([init_params(SPEC, Rng(0))])
-        sel = select_models(SPEC, models, clients)
-        np.testing.assert_array_equal(sel.selected, 0)
+        np.testing.assert_array_equal(select_models(SPEC, models, validation), 0)
 
     def test_identical_models_tie_break_lowest_index(self):
-        clients = [make_client(seed=s) for s in range(3)]
+        validation = stacked([make_client(seed=s) for s in range(3)]).validation
         theta = init_params(SPEC, Rng(0))
-        sel = select_models(SPEC, np.stack([theta, theta.copy()]), clients)
-        np.testing.assert_array_equal(sel.selected, 0)
+        np.testing.assert_array_equal(
+            select_models(SPEC, np.stack([theta, theta.copy()]), validation), 0)
 
-    def test_losses_shape(self):
+    def test_selects_least_validation_loss(self):
         clients = [make_client(seed=s) for s in range(4)]
         models = np.stack([init_params(SPEC, Rng(s)) for s in range(3)])
-        sel = select_models(SPEC, models, clients)
-        assert sel.losses.shape == (4, 3)
-        np.testing.assert_array_equal(sel.selected, np.argmin(sel.losses, axis=1))
+        selected = select_models(SPEC, models, stacked(clients).validation)
+        losses = [[loss(SPEC, m, c.validation.features, c.validation.labels) for m in models]
+                  for c in clients]
+        assert selected.shape == (4,)
+        np.testing.assert_array_equal(selected, np.argmin(losses, axis=1))
 
 
 class TestRunFedavg:
@@ -190,10 +212,10 @@ class TestRunFedavg:
         cfg = ExperimentConfig(method="fedavg", clients=1, models=1, rounds=6, seed=2,
                                local_epochs=2, batch_size=8, learning_rate=0.15,
                                model=ModelConfig(l2_penalty=1e-3), data=data)
-        clients, spec = build_problem(cfg)
-        models, _ = run_fedavg(cfg, clients, spec)
+        problem, spec = build_problem(cfg)
+        models, _ = run_fedavg(cfg, problem, spec)
         theta = init_params(spec, Rng(2).split(1, 0))
-        train = clients[0].train
+        train = problem[0].train
         for t in range(1, 7):
             rng = Rng(2).split(STREAM_BATCH, t, 0, 0)
             for _ in range(2):
@@ -209,7 +231,7 @@ class TestRunFedavg:
         cfg = ExperimentConfig(method="fedavg", clients=4, models=1, rounds=5, seed=6,
                                local_epochs=1, batch_size=10_000, learning_rate=0.2,
                                model=ModelConfig(l2_penalty=1e-3), data=DataConfig())
-        models, _ = run_fedavg(cfg, clients, SPEC)
+        models, _ = run_fedavg(cfg, stacked(clients), SPEC)
         theta = init_params(SPEC, Rng(6).split(1, 0))
         x, y = base.train.features, base.train.labels
         for _ in range(5):
@@ -230,29 +252,31 @@ class TestRunIfca:
     def test_single_cluster_equals_fedavg(self):
         cfg_i = small_cfg(method="ifca", K=1)
         cfg_a = small_cfg(method="fedavg", K=1)
-        clients, spec = build_problem(cfg_i)
-        m_ifca, _, _ = run_ifca(cfg_i, clients, spec)
-        m_avg, _ = run_fedavg(cfg_a, clients, spec)
+        problem, spec = build_problem(cfg_i)
+        m_ifca, _ = run_ifca(cfg_i, problem, spec)
+        m_avg, _ = run_fedavg(cfg_a, problem, spec)
         np.testing.assert_allclose(m_ifca[0], m_avg[0], atol=1e-12)
 
-    def test_identical_clients_settle_on_lowest_index(self):
+    def test_identical_clients_settle_on_lowest_index(self, monkeypatch):
         base = make_client(seed=3)
         clients = [ClientDataset(base.train, base.validation) for _ in range(3)]
         cfg = ExperimentConfig(method="ifca", clients=3, models=2, rounds=4, seed=8,
                                local_epochs=1, batch_size=10_000, learning_rate=0.2,
                                model=ModelConfig(l2_penalty=1e-3), data=DataConfig())
-        _, _, assignments = run_ifca(cfg, clients, SPEC)
-        for asg in assignments:
-            assert len(set(asg.selected.tolist())) == 1
+        choices = record_ifca_choices(monkeypatch)
+        run_ifca(cfg, stacked(clients), SPEC)
+        assert len(choices) == 4
+        for choice in choices:
+            assert len(set(choice.tolist())) == 1
         # after round 1 all clients track one cluster; the untouched model is
         # frozen, so the chosen index never changes
-        chosen = assignments[1].selected[0]
-        for asg in assignments[1:]:
-            assert np.all(asg.selected == chosen)
+        chosen = choices[1][0]
+        for choice in choices[1:]:
+            assert np.all(choice == chosen)
 
     def test_uploads_accounting(self):
         cfg = small_cfg(method="ifca", K=2)
-        _, traces, _ = run_ifca(cfg)
+        _, traces = run_ifca(cfg)
         assert all(t.uploads == cfg.clients * (cfg.models + 1) for t in traces)
 
 
@@ -266,9 +290,9 @@ class TestRunLocal:
         cfg_avg = ExperimentConfig(method="fedavg", clients=1, models=1, rounds=5, seed=4,
                                    local_epochs=2, batch_size=8, learning_rate=0.1,
                                    model=ModelConfig(l2_penalty=1e-3), data=data)
-        clients, spec = build_problem(cfg)
-        m_local, traces = run_local(cfg, clients, spec)
-        m_avg, _ = run_fedavg(cfg_avg, clients, spec)
+        problem, spec = build_problem(cfg)
+        m_local, traces = run_local(cfg, problem, spec)
+        m_avg, _ = run_fedavg(cfg_avg, problem, spec)
         np.testing.assert_allclose(m_local[0], m_avg[0], atol=1e-12)
         assert all(t.uploads == 0 for t in traces)
 
@@ -282,10 +306,10 @@ class TestRunLocal:
             cfg = ExperimentConfig(method="local", clients=4, models=1, rounds=30, seed=seed,
                                    local_epochs=1, batch_size=16, learning_rate=0.5,
                                    model=ModelConfig(l2_penalty=1e-4), data=data)
-            clients, spec = build_problem(cfg)
-            thetas, _ = run_local(cfg, clients, spec)
-            tr = np.mean(accuracy(spec, thetas, [c.train for c in clients]))
-            va = np.mean(accuracy(spec, thetas, [c.validation for c in clients]))
+            problem, spec = build_problem(cfg)
+            thetas, _ = run_local(cfg, problem, spec)
+            tr = np.mean(accuracy(spec, thetas, problem.train))
+            va = np.mean(accuracy(spec, thetas, problem.validation))
             diffs.append(tr - va)
         assert np.mean(diffs) >= 0.0
 
@@ -298,10 +322,8 @@ class TestRunLocal:
 
 class TestPerClientOptimum:
     def test_reaches_tight_gradient_norm(self):
-        client = make_client(seed=5)
-        result = per_client_optimum(SPEC, client)
+        result = per_client_optimum(SPEC, train_rows(make_client(seed=5)))
         assert result.grad_norm <= 1e-6
-        assert result.converged
 
     def test_symmetric_dataset_has_zero_optimum(self):
         # every label occurs with both x and -x, so features carry no signal
@@ -309,13 +331,12 @@ class TestPerClientOptimum:
         x = np.array([[1.0, 2.0], [-1.0, -2.0], [1.0, 2.0], [-1.0, -2.0]])
         y = np.array([0, 0, 1, 1])
         d = Dataset(x, y, 2)
-        client = ClientDataset(d, d)
-        result = per_client_optimum(SPEC, client)
+        result = per_client_optimum(SPEC, train_rows(ClientDataset(d, d)))
         assert np.linalg.norm(result.theta) <= 1e-4
 
     def test_beats_random_probes(self):
         client = make_client(seed=7)
-        result = per_client_optimum(SPEC, client)
+        result = per_client_optimum(SPEC, train_rows(client))
         best = loss(SPEC, result.theta, client.train.features, client.train.labels)
         rng = Rng(11)
         for _ in range(100):
@@ -328,7 +349,7 @@ class TestPerClientOptimum:
         # clients of unequal size: Newton against the reference descent
         client = make_client(seed=n, n=n + 4)
         x, y = client.train.features, client.train.labels
-        result = per_client_optimum(SPEC, client)
+        result = per_client_optimum(SPEC, train_rows(client))
         theta, _ = optimum(SPEC, x, y)
         assert np.linalg.norm(grad(SPEC, result.theta, x, y)) <= 1e-6
         assert loss(SPEC, result.theta, x, y) <= loss(SPEC, theta, x, y) + 1e-12
@@ -342,7 +363,7 @@ class TestPerClientOptimum:
         spec = ModelSpec("softmax-regression", input_dim=4, classes=2, l2_penalty=0.0)
         rng = Rng(n)
         d = Dataset(rng.normal(size=(n, 4)), np.arange(n) % 2, 2)
-        result = per_client_optimum(spec, ClientDataset(d, d))
+        result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec))
         assert np.linalg.norm(grad(spec, result.theta, d.features, d.labels)) <= 1e-6
 
     def test_damped_steps_still_converge(self, monkeypatch):
@@ -358,22 +379,23 @@ class TestPerClientOptimum:
         spec = ModelSpec("softmax-regression", input_dim=4, classes=3, l2_penalty=1e-6)
         rng = Rng(132)
         d = Dataset(2.5 * rng.normal(size=(17, 4)), rng.integers(0, 3, size=17), 3)
-        result = per_client_optimum(spec, ClientDataset(d, d))
+        result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec))
         trials = len(calls) - 1  # the first call scores theta = 0
         assert trials > result.steps
         assert result.grad_norm <= 1e-6
 
     def test_mlp_is_a_config_error(self):
         with pytest.raises(ConfigError, match="oracle.*model.kind"):
-            per_client_optimum(MLP_SPEC, make_client())
+            per_client_optimum(MLP_SPEC, train_rows(make_client(), MLP_SPEC))
 
     def test_at_most_ten_steps_on_group_recovery(self):
         # a deterministic speed guard, in place of a wall-clock gate
         cfg = parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg")
-        clients, spec = build_problem(cfg)
-        assert len(clients) == 12
-        for client in clients:
-            result = per_client_optimum(spec, client)
+        problem, spec = build_problem(cfg)
+        train = problem.train
+        assert len(problem) == 12
+        for i, n in enumerate(train.counts):
+            result = per_client_optimum(spec, train[i:i + 1, :, :n])
             assert result.grad_norm <= 1e-6
             assert result.steps <= 10
 
@@ -438,7 +460,8 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("gradient_mode", ["lookahead", "delta"])
     def test_fedfew_matches_task_loop(self, spec, gradient_mode):
         cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
-        models, traces = run_fedfew(cfg, clients, spec, gradient_mode=gradient_mode)
+        models, traces = run_fedfew(cfg, stacked(clients, spec), spec,
+                                    gradient_mode=gradient_mode)
         expected, values = loop_fedfew(cfg, clients, spec, gradient_mode)
         np.testing.assert_allclose(models, expected, rtol=1e-10)
         np.testing.assert_allclose([t.stch_value for t in traces], values, rtol=1e-10)
@@ -447,21 +470,22 @@ class TestBatchedEngine:
         # blocks of 3: the largest three clients, then the smallest
         monkeypatch.setattr(model, "CLIENT_BLOCK", 3)
         cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
-        models, traces = run_fedfew(cfg, clients, MLP_SPEC)
+        models, traces = run_fedfew(cfg, stacked(clients, MLP_SPEC), MLP_SPEC)
         expected, values = loop_fedfew(cfg, clients, MLP_SPEC, "lookahead")
         np.testing.assert_allclose(models, expected, rtol=1e-10)
         np.testing.assert_allclose([t.stch_value for t in traces], values, rtol=1e-10)
 
     @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
-    def test_ifca_matches_task_loop(self, spec):
+    def test_ifca_matches_task_loop(self, spec, monkeypatch):
         cfg, clients = engine_cfg("ifca", 2), uneven_clients()
-        models, _, assignments = run_ifca(cfg, clients, spec)
+        choices = record_ifca_choices(monkeypatch)
+        models, _ = run_ifca(cfg, stacked(clients, spec), spec)
         sizes = np.array([c.train.n for c in clients], float)
         thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(2)])
         for t in range(1, cfg.rounds + 1):
             choice = np.array([np.argmin([loss(spec, th, c.train.features, c.train.labels)
                                           for th in thetas]) for c in clients])
-            np.testing.assert_array_equal(assignments[t - 1].selected, choice)
+            np.testing.assert_array_equal(choices[t - 1], choice)
             local = np.stack([loop_local(spec, c.train, thetas[choice[i]], cfg, t, i, choice[i])
                               for i, c in enumerate(clients)])
             for k in range(2):
@@ -473,7 +497,7 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
     def test_local_matches_task_loop(self, spec):
         cfg, clients = engine_cfg("local", 1), uneven_clients()
-        models, _ = run_local(cfg, clients, spec)
+        models, _ = run_local(cfg, stacked(clients, spec), spec)
         thetas = [init_params(spec, Rng(cfg.seed).split(1, i)) for i in range(len(clients))]
         for t in range(1, cfg.rounds + 1):
             thetas = [loop_local(spec, c.train, thetas[i], cfg, t, i, 0)
@@ -483,9 +507,9 @@ class TestBatchedEngine:
     def test_non_finite_round_names_round_client_and_model(self):
         cfg = replace(engine_cfg("fedfew", 2), learning_rate=1e200)
         with pytest.raises(FloatingPointError, match=r"round 1: client \d+, model \d+"):
-            run_fedfew(cfg, uneven_clients(), MLP_SPEC)
+            run_fedfew(cfg, stacked(uneven_clients(), MLP_SPEC), MLP_SPEC)
 
     def test_local_non_finite_names_the_clients_own_model(self):
         cfg = replace(engine_cfg("local", 1), learning_rate=1e200)
         with pytest.raises(FloatingPointError, match=r"round 1: client (\d+), model \1:"):
-            run_local(cfg, uneven_clients(), MLP_SPEC)
+            run_local(cfg, stacked(uneven_clients(), MLP_SPEC), MLP_SPEC)

@@ -1,14 +1,13 @@
 """Accuracy, fairness, heterogeneity, coverage gap, weight diagnostics."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedfew.data import ClientDataset, DataConfig, Dataset, gen_mixture
+from fedfew.data import ClientDataset, DataConfig, Dataset, Problem, gen_mixture
 from fedfew.federation import per_client_optimum
 from fedfew.metrics import (
     accuracy,
@@ -18,7 +17,7 @@ from fedfew.metrics import (
     jain_index,
     weight_diagnostics,
 )
-from fedfew.model import ModelSpec, init_params
+from fedfew.model import ModelSpec, init_params, stack_rows
 from fedfew.numerics import Rng
 from perpair import logits, loss
 from fedfew.scalarization import ScalarizationWeights, compute_weights
@@ -32,21 +31,19 @@ def toy_dataset(labels):
     return Dataset(feats, labels, class_count=int(labels.max()) + 1 if labels.max() > 0 else 2)
 
 
+def stacked(spec, *datasets):
+    return stack_rows(spec, [(d.features, d.labels) for d in datasets])
+
+
 class TestAccuracy:
     def test_all_class_zero_with_zero_parameters(self):
         d = toy_dataset(np.zeros(6, dtype=int))
-        assert accuracy(SOFTMAX2, np.zeros((1, SOFTMAX2.dim)), [d])[0] == 1.0
+        assert accuracy(SOFTMAX2, np.zeros((1, SOFTMAX2.dim)), stacked(SOFTMAX2, d))[0] == 1.0
 
     def test_balanced_data_zero_parameters(self):
         spec = ModelSpec("softmax-regression", input_dim=2, classes=4)
         d = Dataset(Rng(0).normal(size=(40, 2)), np.tile(np.arange(4), 10), 4)
-        assert accuracy(spec, np.zeros((1, spec.dim)), [d])[0] == pytest.approx(0.25)
-
-    def test_empty_rejected(self):
-        # Dataset itself rejects zero rows, so hand accuracy a bare split
-        empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
-        with pytest.raises(ValueError, match="each client needs n >= 1 rows"):
-            accuracy(SOFTMAX2, np.zeros((1, SOFTMAX2.dim)), [empty])
+        assert accuracy(spec, np.zeros((1, spec.dim)), stacked(spec, d))[0] == pytest.approx(0.25)
 
     def test_padding_rows_never_count(self):
         # every row is wrong, so the padding of the shorter client (label 0,
@@ -54,7 +51,7 @@ class TestAccuracy:
         spec = ModelSpec("softmax-regression", input_dim=2, classes=3)
         short = Dataset(np.ones((2, 2)), np.array([1, 2]), 3)
         long = Dataset(np.ones((7, 2)), np.full(7, 2), 3)
-        accs = accuracy(spec, np.zeros((2, spec.dim)), [short, long])
+        accs = accuracy(spec, np.zeros((2, spec.dim)), stacked(spec, short, long))
         np.testing.assert_array_equal(accs, [0.0, 0.0])
 
     def test_tie_goes_to_the_lowest_class(self):
@@ -64,7 +61,7 @@ class TestAccuracy:
         x = np.array([[1.0], [2.0], [0.5]])
         d1 = Dataset(x, np.array([1, 1, 1]), 3)
         d2 = Dataset(x[:2], np.array([2, 2]), 3)
-        accs = accuracy(spec, np.stack([theta, theta]), [d1, d2])
+        accs = accuracy(spec, np.stack([theta, theta]), stacked(spec, d1, d2))
         np.testing.assert_array_equal(accs, [1.0, 0.0])
 
     @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
@@ -76,7 +73,7 @@ class TestAccuracy:
                             rng.split(2, i).integers(0, 4, size=n), 4)
                     for i, n in enumerate((1, 17, 5, 40, 9))]
         models = np.stack([init_params(spec, rng.split(3, i)) for i in range(len(datasets))])
-        accs = accuracy(spec, models, datasets)
+        accs = accuracy(spec, models, stacked(spec, *datasets))
         expected = [np.mean(np.argmax(logits(spec, models[i], d.features), axis=1) == d.labels)
                     for i, d in enumerate(datasets)]
         np.testing.assert_array_equal(accs, expected)
@@ -113,10 +110,20 @@ class TestJainIndex:
         assert r.mean == pytest.approx(0.7)
 
 
-def two_group_contradictory_clients(n=120):
+def two_group_contradictory_train(n=120):
     data = DataConfig(groups=2, clients_per_group=[2, 2], input_dim=2, classes=2,
                       separation=1.5, noise_std=0.2, samples_per_client=n, permute_labels=True)
-    return gen_mixture(data, 4, Rng(3))
+    return gen_mixture(data, 4, Rng(3)).train
+
+
+def train_of(clients):
+    return Problem.from_clients(SOFTMAX2, clients).train
+
+
+def optima_of(train):
+    """Each client's optimum, solved on its unpadded one-client slice."""
+    return [per_client_optimum(SOFTMAX2, train[i:i + 1, :, :n]).theta
+            for i, n in enumerate(train.counts)]
 
 
 def unequal_clients():
@@ -134,41 +141,40 @@ def unequal_clients():
 class TestHeterogeneityDelta:
     def test_identical_clients_give_zero(self):
         d = toy_dataset(np.array([0, 1] * 10))
-        clients = [ClientDataset(d, d) for _ in range(3)]
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
-        assert heterogeneity_delta(SOFTMAX2, optima, clients) <= 1e-6
+        train = train_of([ClientDataset(d, d) for _ in range(3)])
+        assert heterogeneity_delta(SOFTMAX2, optima_of(train), train) <= 1e-6
 
     def test_single_client_is_exactly_zero(self):
         d = toy_dataset(np.array([0, 1] * 10))
-        clients = [ClientDataset(d, d)]
-        optima = [per_client_optimum(SOFTMAX2, clients[0]).theta]
-        assert heterogeneity_delta(SOFTMAX2, optima, clients) == 0.0
+        train = train_of([ClientDataset(d, d)])
+        assert heterogeneity_delta(SOFTMAX2, optima_of(train), train) == 0.0
 
     def test_contradictory_groups_exceed_log_two_minus_margin(self):
         # cross-evaluation oracle: using the other group's optimum on
         # contradictory labels costs at least near-chance loss
-        clients = two_group_contradictory_clients()
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
-        assert heterogeneity_delta(SOFTMAX2, optima, clients) >= math.log(2.0) - 0.1
+        train = two_group_contradictory_train()
+        assert heterogeneity_delta(SOFTMAX2, optima_of(train), train) >= math.log(2.0) - 0.1
 
 
     def test_matches_reference_loop(self):
         clients = unequal_clients()
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
+        train = train_of(clients)
+        optima = optima_of(train)
         worst = 0.0
         for i, c in enumerate(clients):
             own = loss(SOFTMAX2, optima[i], c.train.features, c.train.labels)
             for theta in optima:
                 worst = max(worst, loss(SOFTMAX2, theta, c.train.features, c.train.labels) - own)
-        assert heterogeneity_delta(SOFTMAX2, optima, clients) == pytest.approx(worst, abs=1e-12)
+        assert heterogeneity_delta(SOFTMAX2, optima, train) == pytest.approx(worst, abs=1e-12)
 
 
 class TestCoverageGap:
     def test_matches_reference_loop(self):
         clients = unequal_clients()
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
+        train = train_of(clients)
+        optima = optima_of(train)
         models = np.stack([optima[0], optima[3], np.zeros(SOFTMAX2.dim)])
-        gaps, mean_gap = coverage_gap(SOFTMAX2, models, optima, clients)
+        gaps, mean_gap = coverage_gap(SOFTMAX2, models, optima, train)
         expected = [max(0.0, min(loss(SOFTMAX2, th, c.train.features, c.train.labels)
                                  for th in models)
                         - loss(SOFTMAX2, optima[i], c.train.features, c.train.labels))
@@ -178,34 +184,34 @@ class TestCoverageGap:
         assert np.any(gaps > 0)
 
     def test_zero_when_every_optimum_is_in_the_set(self):
-        clients = two_group_contradictory_clients(n=60)
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
-        gaps, mean_gap = coverage_gap(SOFTMAX2, np.stack(optima), optima, clients)
+        train = two_group_contradictory_train(n=60)
+        optima = optima_of(train)
+        gaps, mean_gap = coverage_gap(SOFTMAX2, np.stack(optima), optima, train)
         assert np.all(gaps <= 1e-6) and mean_gap <= 1e-6
 
     def test_monotone_under_model_set_extension(self):
-        clients = two_group_contradictory_clients(n=60)
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
+        train = two_group_contradictory_train(n=60)
+        optima = optima_of(train)
         small = np.stack(optima[:1])
         big = np.stack(optima[:3])
-        _, mean_small = coverage_gap(SOFTMAX2, small, optima, clients)
-        _, mean_big = coverage_gap(SOFTMAX2, big, optima, clients)
+        _, mean_small = coverage_gap(SOFTMAX2, small, optima, train)
+        _, mean_big = coverage_gap(SOFTMAX2, big, optima, train)
         assert mean_big <= mean_small + 1e-12
 
     def test_single_model_worse_than_group_optima(self):
-        clients = two_group_contradictory_clients(n=60)
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
+        train = two_group_contradictory_train(n=60)
+        optima = optima_of(train)
         group_models = np.stack([optima[0], optima[2]])  # one per latent group
         one_model = np.stack([optima[0]])
-        _, mean_groups = coverage_gap(SOFTMAX2, group_models, optima, clients)
-        _, mean_single = coverage_gap(SOFTMAX2, one_model, optima, clients)
+        _, mean_groups = coverage_gap(SOFTMAX2, group_models, optima, train)
+        _, mean_single = coverage_gap(SOFTMAX2, one_model, optima, train)
         assert mean_single >= mean_groups
 
     def test_delta_het_bounds_each_gap_for_optima_sets(self):
-        clients = two_group_contradictory_clients(n=60)
-        optima = [per_client_optimum(SOFTMAX2, c).theta for c in clients]
-        delta = heterogeneity_delta(SOFTMAX2, optima, clients)
-        gaps, _ = coverage_gap(SOFTMAX2, np.stack(optima[:2]), optima, clients)
+        train = two_group_contradictory_train(n=60)
+        optima = optima_of(train)
+        delta = heterogeneity_delta(SOFTMAX2, optima, train)
+        gaps, _ = coverage_gap(SOFTMAX2, np.stack(optima[:2]), optima, train)
         assert np.all(gaps <= delta + 1e-9)
 
 

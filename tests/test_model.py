@@ -103,6 +103,8 @@ class TestLoss:
         for label in (2, 5, -1):  # labels outside [0, classes)
             with pytest.raises(ValueError):
                 stack_rows(spec, [(np.zeros((1, 2)), np.array([label]))])
+        with pytest.raises(ValueError, match="each client needs n >= 1 rows"):  # an empty client
+            stack_rows(spec, [(np.zeros((2, 2)), np.array([0, 1])), (np.zeros((0, 2)), np.zeros(0, int))])
 
 
 class TestGrad:

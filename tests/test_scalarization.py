@@ -11,7 +11,6 @@ from fedfew.numerics import log_sum_exp, smooth_min, softmin_weights
 from fedfew.scalarization import (
     aggregate_gradients,
     compute_weights,
-    stch_set_value,
     tch_set_value,
 )
 
@@ -37,11 +36,11 @@ class TestTchSetValue:
 class TestStchSetValue:
     def test_single_entry_identity(self):
         for c in (0.0, 0.3, 7.0):
-            assert stch_set_value([[c]], 0.5) == pytest.approx(c, abs=1e-12)
+            assert compute_weights([[c]], 0.5).value == pytest.approx(c, abs=1e-12)
 
     def test_one_client_two_models_oracle(self):
         # direct summation: -log(e^-1 + e^-2)
-        value = stch_set_value([[1.0, 2.0]], 1.0)
+        value = compute_weights([[1.0, 2.0]], 1.0).value
         assert value == pytest.approx(0.6867383124817771, abs=1e-12)
 
     def test_positive_homogeneity(self):
@@ -49,22 +48,20 @@ class TestStchSetValue:
         c = 3.7
         for _ in range(20):
             raw = rng.uniform(0.0, 5.0, size=(3, 2))
-            a = stch_set_value(c * raw, c * 0.1)
-            b = stch_set_value(raw, 0.1)
+            a = compute_weights(c * raw, c * 0.1).value
+            b = compute_weights(raw, 0.1).value
             assert a == pytest.approx(c * b, rel=1e-12)
 
     def test_mu_must_be_positive(self):
         # checked before any arithmetic: dividing by mu=0 would raise first
-        for fn in (stch_set_value, compute_weights):
-            with np.errstate(all="raise"), pytest.raises(
-                    ValueError, match="mu must be a positive finite real"):
-                fn([[1.0, 2.0]], 0.0)
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match="mu must be a positive finite real"):
+            compute_weights([[1.0, 2.0]], 0.0)
 
     @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
     def test_mu_must_be_finite(self, mu):
-        for fn in (stch_set_value, compute_weights):
-            with pytest.raises(ValueError, match="mu must be a positive finite real"):
-                fn([[1.0, 2.0]], mu)
+        with pytest.raises(ValueError, match="mu must be a positive finite real"):
+            compute_weights([[1.0, 2.0]], mu)
 
     @settings(max_examples=200)
     @given(loss_matrices, st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
@@ -74,7 +71,7 @@ class TestStchSetValue:
         #   stch - mu*log(M) <= tch <= stch + mu*log(K)
         # and hence |stch - tch| <= mu*(log M + log K) uniformly
         m, k = np.shape(rows)
-        smooth = stch_set_value(rows, mu)
+        smooth = compute_weights(rows, mu).value
         exact = tch_set_value(rows)
         lo = smooth - mu * math.log(m) - 1e-12
         hi = smooth + mu * math.log(k) + 1e-12
@@ -179,16 +176,15 @@ class TestAggregateGradients:
             for c in range(d):
                 up = thetas.copy(); up[j, c] += h
                 dn = thetas.copy(); dn[j, c] -= h
-                hi = stch_set_value(losses(up), mu)
-                lo = stch_set_value(losses(dn), mu)
+                hi = compute_weights(losses(up), mu).value
+                lo = compute_weights(losses(dn), mu).value
                 fd[j, c] = (hi - lo) / (2 * h)
         assert np.linalg.norm(fd - agg) <= 1e-4 * max(1.0, np.linalg.norm(agg))
 
 
 class TestLossValues:
-    @pytest.mark.parametrize("fn", [tch_set_value, lambda v: stch_set_value(v, 1.0),
-                                    lambda v: compute_weights(v, 1.0)],
-                             ids=["tch", "stch", "weights"])
+    @pytest.mark.parametrize("fn", [tch_set_value, lambda v: compute_weights(v, 1.0)],
+                             ids=["tch", "weights"])
     @pytest.mark.parametrize("values", [[[-1.0, 2.0]], [[np.nan, 2.0]], [[np.inf, 2.0]],
                                         [1.0, 2.0], np.zeros((0, 2))],
                              ids=["negative", "nan", "inf", "not-2d", "empty"])
@@ -210,15 +206,12 @@ class TestVectorisedAgainstScalar:
             mu = (1e-3, 1e-2, 0.1, 1.0)[trial % 4]
             yield values, mu
 
-    def test_stch_set_value(self):
+    def test_smooth_value(self):
         for values, mu in self.cases():
             inner = np.array([smooth_min(row, mu) for row in values])
             expected = log_sum_exp(inner, mu)
-            assert stch_set_value(values, mu) == pytest.approx(expected, rel=1e-14, abs=1e-12)
-
-    def test_weights_carry_the_smooth_value(self):
-        for values, mu in self.cases():
-            assert compute_weights(values, mu).value == stch_set_value(values, mu)
+            assert compute_weights(values, mu).value == pytest.approx(expected, rel=1e-14,
+                                                                      abs=1e-12)
 
     def test_compute_weights(self):
         for values, mu in self.cases():
