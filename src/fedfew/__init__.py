@@ -39,7 +39,6 @@ from .federation import (
     run_ifca,
     run_local,
     select_models,
-    uploads_per_round,
 )
 from .metrics import (
     FairnessReport,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -25,15 +25,12 @@ from . import __version__
 from .data import DataConfig
 from .errors import ConfigError
 from .federation import (
+    RUNNERS,
     ExperimentConfig,
     ModelConfig,
     build_problem,
     check_oracle_model,
     per_client_optimum,
-    run_fedavg,
-    run_fedfew,
-    run_ifca,
-    run_local,
     select_models,
 )
 from .metrics import accuracy, coverage_gap, fairness_report
@@ -89,13 +86,13 @@ def _list_of(item: Value) -> Value:
 
 @dataclass(frozen=True)
 class Key:
-    """One config key: its value type, its default text (None: required) and
-    the ExperimentConfig attribute it sets (model./data. for the parts; None:
-    not part of the run's config, so not part of its checksum either)."""
+    """One config key: its value type and the ExperimentConfig attribute it
+    sets (model./data. for the parts; None: not part of the run's config, so
+    not part of its checksum either).  An absent key takes its field's
+    default; a key whose field has none is required."""
 
     name: str
     value: Value
-    default: str | None
     attr: str | None
 
     def parse(self, text: str):
@@ -108,38 +105,40 @@ class Key:
 
 
 KEYS = (
-    Key("method", TEXT, None, "method"),
-    Key("M", INT, None, "clients"),
-    Key("K", INT, None, "models"),
-    Key("T", INT, None, "rounds"),
-    Key("seed", INT, None, "seed"),
-    Key("E", INT, "1", "local_epochs"),
-    Key("batch_size", INT, "50", "batch_size"),
-    Key("learning_rate", FLOAT, "0.1", "learning_rate"),
-    Key("mu", FLOAT, "0.01", "mu"),
-    Key("validation_fraction", FLOAT, "0.2", "validation_fraction"),
-    Key("oracle", BOOL, "0", None),
-    Key("model.kind", TEXT, "softmax-regression", "model.kind"),
-    Key("model.hidden_dim", INT, "16", "model.hidden_dim"),
-    Key("model.l2", FLOAT, "0.0001", "model.l2_penalty"),
-    Key("dataset", TEXT, "mixture", "data.dataset"),
-    Key("mixture.G", INT, "1", "data.groups"),
-    Key("mixture.clients_per_group", _list_of(INT), "", "data.clients_per_group"),
-    Key("mixture.sep", FLOAT, "1.0", "data.separation"),
-    Key("mixture.noise", FLOAT, "0.2", "data.noise_std"),
-    Key("mixture.n_per_client", INT, "100", "data.samples_per_client"),
-    Key("mixture.permute_labels", BOOL, "0", "data.permute_labels"),
-    Key("mixture.classes", INT, "2", "data.classes"),
-    Key("mixture.input_dim", INT, "2", "data.input_dim"),
-    Key("csv.path", TEXT, "", "data.csv_path"),
-    Key("partition", TEXT, "dirichlet", "data.partition"),
-    Key("dirichlet.alpha", FLOAT, "0.5", "data.dirichlet_alpha"),
-    Key("pathological.classes_per_client", INT, "2", "data.classes_per_client"),
-    Key("ablate.K", _list_of(INT), "", None),
-    Key("ablate.mu", _list_of(FLOAT), "", None),
-    Key("ablate.local_epochs", _list_of(INT), "", None),
+    Key("method", TEXT, "method"),
+    Key("M", INT, "clients"),
+    Key("K", INT, "models"),
+    Key("T", INT, "rounds"),
+    Key("seed", INT, "seed"),
+    Key("E", INT, "local_epochs"),
+    Key("batch_size", INT, "batch_size"),
+    Key("learning_rate", FLOAT, "learning_rate"),
+    Key("mu", FLOAT, "mu"),
+    Key("validation_fraction", FLOAT, "validation_fraction"),
+    Key("model.kind", TEXT, "model.kind"),
+    Key("model.hidden_dim", INT, "model.hidden_dim"),
+    Key("model.l2", FLOAT, "model.l2_penalty"),
+    Key("dataset", TEXT, "data.dataset"),
+    Key("mixture.G", INT, "data.groups"),
+    Key("mixture.clients_per_group", _list_of(INT), "data.clients_per_group"),
+    Key("mixture.sep", FLOAT, "data.separation"),
+    Key("mixture.noise", FLOAT, "data.noise_std"),
+    Key("mixture.n_per_client", INT, "data.samples_per_client"),
+    Key("mixture.permute_labels", BOOL, "data.permute_labels"),
+    Key("mixture.classes", INT, "data.classes"),
+    Key("mixture.input_dim", INT, "data.input_dim"),
+    Key("csv.path", TEXT, "data.csv_path"),
+    Key("partition", TEXT, "data.partition"),
+    Key("dirichlet.alpha", FLOAT, "data.dirichlet_alpha"),
+    Key("pathological.classes_per_client", INT, "data.classes_per_client"),
+    Key("ablate.K", _list_of(INT), None),
+    Key("ablate.mu", _list_of(FLOAT), None),
+    Key("ablate.local_epochs", _list_of(INT), None),
 )
 _BY_NAME = {key.name: key for key in KEYS}
+# the ExperimentConfig fields without a default: their keys are required
+_REQUIRED = {f.name for f in fields(ExperimentConfig)
+             if f.default is MISSING and f.default_factory is MISSING}
 # ablate --axis: the key whose values it sweeps
 _ABLATION_AXES = {"K": _BY_NAME["K"], "mu": _BY_NAME["mu"], "local_epochs": _BY_NAME["E"]}
 
@@ -166,20 +165,21 @@ def _read_pairs(path) -> dict[str, str]:
 
 
 def _values(pairs: dict[str, str]) -> dict[str, object]:
-    """Every key of the table, parsed from its given text or its default."""
+    """Every given key of the table, parsed; a required key must be given."""
     values = {}
     for key in KEYS:
-        text = pairs.get(key.name, key.default)
-        if text is None:
+        if key.name in pairs:
+            values[key.name] = key.parse(pairs[key.name])
+        elif key.attr in _REQUIRED:
             raise ConfigError(f"missing required config key {key.name!r}")
-        values[key.name] = key.parse(text)
     return values
 
 
 def _config(values: dict[str, object]) -> ExperimentConfig:
+    """The config of the given values; every other field keeps its default."""
     parts: dict[str, dict] = {"": {}, "model": {}, "data": {}}
     for key in KEYS:
-        if key.attr:
+        if key.attr and key.name in values:
             part, _, field = key.attr.rpartition(".")
             parts[part][field] = values[key.name]
     return ExperimentConfig(**parts[""], model=ModelConfig(**parts["model"]),
@@ -208,14 +208,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_RUNNERS = {
-    "fedfew": run_fedfew,
-    "fedavg": run_fedavg,
-    "ifca": run_ifca,
-    "local": run_local,
-}
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict:
     """Run one configured experiment and write its output files.
 
@@ -230,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
         if oracle:
             check_oracle_model(cfg.model.kind)
         problem, spec = build_problem(cfg)
-        models, traces = _RUNNERS[cfg.method](cfg, problem, spec)
+        models, traces = RUNNERS[cfg.method](cfg, problem, spec)
 
         if cfg.method == "local":
             selected = np.arange(cfg.clients)
@@ -310,7 +302,7 @@ def run_ablation(config_path, axis: str, out_dir, oracle: bool = False,
     base = _config(values)
     if seed is not None:
         base = replace(base, seed=seed)
-    swept = values[f"ablate.{axis}"]
+    swept = values.get(f"ablate.{axis}")
     if not swept:
         raise ConfigError(f"config must list ablate.{axis} values for axis {axis!r}")
     key = _ABLATION_AXES[axis]
@@ -348,15 +340,13 @@ def main(argv=None) -> int:
             p.add_argument("--axis", required=True, choices=tuple(_ABLATION_AXES))
     args = parser.parse_args(argv)
     try:
-        values = _values(_read_pairs(args.config))
-        oracle = args.oracle or values["oracle"]
         if args.command == "run":
-            cfg = _config(values)
+            cfg = parse_config(args.config)
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)
-            run_experiment(cfg, args.out, oracle=oracle)
+            run_experiment(cfg, args.out, oracle=args.oracle)
         else:
-            run_ablation(args.config, args.axis, args.out, oracle=oracle, seed=args.seed)
+            run_ablation(args.config, args.axis, args.out, oracle=args.oracle, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

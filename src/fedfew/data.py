@@ -126,10 +126,22 @@ class DataConfig:
             raise ConfigError(
                 "mixture.permute_labels relabels by cyclic shifts, so it needs "
                 f"mixture.G <= mixture.classes, got {self.groups} > {self.classes}")
+        # the cluster means of gen_mixture: one set of C, or one per group
+        count = self.classes if self.permute_labels else self.groups * self.classes
+        extent = (self.separation * (count - 1) if self.input_dim == 1
+                  else _circle_radius(count, self.separation))
+        if not math.isfinite(extent):
+            raise ConfigError(f"mixture.sep={self.separation:g} places the {count} cluster "
+                              "means beyond the float range")
         if self.partition not in ("dirichlet", "pathological"):
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("csv dataset requires csv.path")
+
+
+def _circle_radius(count: int, separation: float) -> float:
+    """The circle on which count >= 2 evenly spaced points lie separation apart."""
+    return separation / (2.0 * math.sin(math.pi / count))
 
 
 def _circle_means(count: int, input_dim: int, separation: float) -> np.ndarray:
@@ -138,7 +150,7 @@ def _circle_means(count: int, input_dim: int, separation: float) -> np.ndarray:
     if input_dim == 1:
         means[:, 0] = separation * np.arange(count)
         return means
-    radius = separation / (2.0 * math.sin(math.pi / count))
+    radius = _circle_radius(count, separation)
     angles = 2.0 * math.pi * np.arange(count) / count
     means[:, 0] = radius * np.cos(angles)
     means[:, 1] = radius * np.sin(angles)

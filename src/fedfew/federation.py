@@ -39,8 +39,6 @@ from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses,
 from .numerics import Rng
 from .scalarization import aggregate_gradients, compute_weights
 
-METHODS = ("fedfew", "fedavg", "ifca", "local")
-
 # named substreams of the experiment seed
 STREAM_DATA = 0
 STREAM_INIT = 1
@@ -73,7 +71,7 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in RUNNERS:
             raise ConfigError(f"unknown method {self.method!r}")
         if min(self.clients, self.models, self.rounds, self.local_epochs) < 1:
             raise ConfigError("M, K, T, and E must all be >= 1")
@@ -105,17 +103,6 @@ class OptimumResult:
     theta: np.ndarray
     grad_norm: float
     steps: int
-
-
-def uploads_per_round(method: str, M: int, K: int) -> int:
-    """Communication accounting: payload uploads per round."""
-    if method == "fedfew":
-        return M * K  # one (gradient, loss) pair per client-model
-    if method == "fedavg":
-        return M
-    if method == "ifca":
-        return M * (K + 1)  # K scalar losses plus one model per client
-    return 0
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[Problem, ModelSpec]:
@@ -203,7 +190,7 @@ def _uploads(gradient_mode, thetas, local, grads, eta):
     batch, and keeps the total server movement comparable across (E, T)
     budgets with T*E fixed.
     """
-    return grads if gradient_mode == "lookahead" or eta == 0 else (thetas - local) / eta
+    return grads if gradient_mode == "lookahead" else (thetas - local) / eta
 
 
 def _local_round(cfg: ExperimentConfig, spec, rows, grid, t: int, streams, models):
@@ -276,8 +263,8 @@ def run_fedfew(
         weights = compute_weights(losses * share[:, None], cfg.mu)
         agg = aggregate_gradients(weights, uploads * share[:, None, None])
         thetas = thetas - cfg.learning_rate * agg
-        traces.append(_trace(t, weights, np.linalg.norm(agg, axis=1),
-                             uploads_per_round("fedfew", M, K)))
+        # uploads: one (gradient, loss) pair per client-model
+        traces.append(_trace(t, weights, np.linalg.norm(agg, axis=1), M * K))
     return thetas, traces
 
 
@@ -298,7 +285,7 @@ def run_fedavg(
         new_theta = share @ local[:, 0]
         norm = np.linalg.norm(theta - new_theta) / cfg.learning_rate
         traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
-                             np.array([norm]), uploads_per_round("fedavg", M, 1)))
+                             np.array([norm]), M))
         theta = new_theta
     return theta[None, :], traces
 
@@ -322,8 +309,9 @@ def run_ifca(
         # an empty cluster keeps its previous parameters
         new_thetas = np.where(totals > 0, mass.T @ local[:, 0] / np.maximum(totals, 1.0), thetas)
         norms = np.linalg.norm(thetas - new_thetas, axis=1) / cfg.learning_rate
+        # uploads: K scalar losses plus one model per client
         traces.append(_trace(t, compute_weights(eval_losses * share[:, None], cfg.mu), norms,
-                             uploads_per_round("ifca", M, K)))
+                             M * (K + 1)))
         thetas = new_thetas
     return thetas, traces
 
@@ -345,9 +333,13 @@ def run_local(
         new_thetas = local[:, 0]
         step_norm = float(np.mean(np.linalg.norm(thetas - new_thetas, axis=1))) / cfg.learning_rate
         traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
-                             np.array([step_norm]), uploads_per_round("local", M, 1)))
+                             np.array([step_norm]), 0))
         thetas = new_thetas
     return thetas, traces
+
+
+# a config's method, and the runner it names
+RUNNERS = {"fedfew": run_fedfew, "fedavg": run_fedavg, "ifca": run_ifca, "local": run_local}
 
 
 def select_models(spec: ModelSpec, models: np.ndarray, validation: ClientRows) -> np.ndarray:

@@ -12,11 +12,12 @@ through module-scoped fixtures.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedfew.cli import config_from_pairs, main, run_experiment
+from fedfew.cli import config_from_pairs, main, parse_config, run_experiment
 from fedfew.federation import (
     DataConfig,
     ExperimentConfig,
@@ -37,6 +38,9 @@ from fedfew.scalarization import (
     tch_set_value,
 )
 from perpair import grad, loss
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -254,6 +258,24 @@ def test_criterion_5a_group_purity(flagship_runs):
     pure = sum(r["purity"] for r in flagship_runs)
     report("5a group-purity", pure >= 18, f"{pure}/20 seeds")
     assert pure >= 18
+
+
+@pytest.mark.parametrize("K", [5, 8])
+def test_criterion_5a_surplus_models_serve_the_groups(K):
+    # with K > G models, selection still serves exactly one model per group:
+    # fedfew finds the model diversity the clients need
+    for seed in range(3):
+        cfg = replace(parse_config(CONFIGS / "group_recovery.cfg"), models=K, seed=seed)
+        problem, spec = build_problem(cfg)
+        models, _ = run_fedfew(cfg, problem, spec)
+        sel = select_models(spec, models, problem.validation)
+        served = [set(sel[problem.groups == g].tolist()) for g in range(3)]
+        # one model per group, a different one for each
+        pure = all(len(s) == 1 for s in served) and len(set.union(*served)) == 3
+        mean_acc = float(np.mean(accuracy(spec, models[sel], problem.test)))
+        report(f"5a surplus-models K={K} seed={seed}", pure and mean_acc >= 0.97,
+               f"models per group {[sorted(s) for s in served]}, mean test acc {mean_acc:.3f}")
+        assert pure and mean_acc >= 0.97
 
 
 def test_criterion_5b_fedfew_accuracy(flagship_runs):

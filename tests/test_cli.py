@@ -3,7 +3,7 @@
 import hashlib
 import math
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from fedfew.cli import (
 )
 from fedfew.data import DataConfig, Dataset
 from fedfew.errors import ConfigError
+from fedfew.federation import ExperimentConfig, ModelConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +38,20 @@ mixture.input_dim=3
 mixture.n_per_client=40
 learning_rate=0.5
 """
+
+
+def readme_config_rows():
+    """The table lines of README's config section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("|")]
+
+
+def field_default(attr):
+    """The default of the config field a key's attr names (MISSING: none)."""
+    part, _, name = attr.rpartition(".")
+    owner = {"": ExperimentConfig, "model": ModelConfig, "data": DataConfig}[part]
+    return {f.name: f.default for f in fields(owner)}[name]
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -69,6 +84,8 @@ BAD_BUILD_VALUES = [
     ({"mixture.clients_per_group": "3,3,3"}, "mixture.clients_per_group"),
     ({"mixture.G": "4", "mixture.permute_labels": "1", "mixture.classes": "3"},
      "mixture.permute_labels"),
+    # the circle radius of 2 * 20 cluster means overflows
+    ({"mixture.sep": "1e308", "mixture.classes": "20"}, "mixture.sep"),
     ({"model.kind": "foo"}, "kind"),
     ({"model.kind": "mlp-1hidden", "model.hidden_dim": "0"}, "hidden_dim"),
     ({"model.l2": "-1"}, "l2_penalty"),
@@ -122,10 +139,32 @@ class TestParseConfig:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_readme_config_table_lists_every_key(self):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
-        table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+        table = "\n".join(readme_config_rows())
         assert [key.name for key in KEYS if f"`{key.name}`" not in table] == []
+
+    def test_keys_set_each_leaf_field_once(self):
+        leaves = [f.name for f in fields(ExperimentConfig) if f.name not in ("model", "data")]
+        leaves += [f"model.{f.name}" for f in fields(ModelConfig)]
+        leaves += [f"data.{f.name}" for f in fields(DataConfig)]
+        assert len(leaves) == 26
+        assert sorted(key.attr for key in KEYS if key.attr) == sorted(leaves)
+
+    def test_readme_defaults_are_the_field_defaults(self):
+        by_name = {key.name: key for key in KEYS}
+        checked = []
+        for row in readme_config_rows()[2:]:  # past the header and its rule
+            names, defaults = (cell.strip() for cell in row.split("|")[1:3])
+            names = [name.strip("`") for name in names.split(", ")]
+            defaults = defaults.split(", ")
+            if len(defaults) == 1:  # one cell for every key of the row
+                defaults *= len(names)
+            for name, text in zip(names, defaults, strict=True):
+                key = by_name[name]
+                default = field_default(key.attr) if key.attr else None
+                expected = "required" if default is MISSING else key.value.show(default)
+                assert text.strip("`") == expected, name
+                checked.append(name)
+        assert sorted(checked) == sorted(by_name)
 
 
 class TestRunExperiment:
@@ -300,16 +339,12 @@ class TestMainExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dataset", ["mixture", "csv"])
-    def test_non_finite_features_exit_three_and_write_nothing(self, tmp_path, capsys, dataset):
-        if dataset == "mixture":  # the circle radius of 20 classes overflows
-            text = with_keys(BASE, **{"mixture.sep": "1e308", "mixture.classes": "20"})
-        else:
-            data = write_csv_data(tmp_path / "data.csv")
-            rows = data.read_text().splitlines()
-            rows[7] = "nan," + rows[7].split(",", 1)[1]
-            data.write_text("\n".join(rows) + "\n")
-            text = f"method=fedavg\nM=3\nK=1\nT=2\nseed=1\ndataset=csv\ncsv.path={data}\n"
+    def test_non_finite_features_exit_three_and_write_nothing(self, tmp_path, capsys):
+        data = write_csv_data(tmp_path / "data.csv")
+        rows = data.read_text().splitlines()
+        rows[7] = "nan," + rows[7].split(",", 1)[1]
+        data.write_text("\n".join(rows) + "\n")
+        text = f"method=fedavg\nM=3\nK=1\nT=2\nseed=1\ndataset=csv\ncsv.path={data}\n"
         path = write_cfg(tmp_path, text)
         out = tmp_path / "nonfinite"
         assert main(["run", str(path), "--out", str(out)]) == 3
@@ -348,17 +383,14 @@ class TestMainExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
-    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "key"])
     def test_mlp_oracle_exits_two_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
-                                                     command, flag):
+                                                     command):
         # the oracle solves softmax regression only; caught before the data is built
         monkeypatch.setattr(cli, "build_problem", lambda cfg: pytest.fail("built the problem"))
-        text = BASE + "model.kind=mlp-1hidden\nablate.K=1,2\n" + ("" if flag else "oracle=1\n")
-        path = write_cfg(tmp_path, text)
+        path = write_cfg(tmp_path, BASE + "model.kind=mlp-1hidden\nablate.K=1,2\n")
         out = tmp_path / "mlp"
-        argv = [command, str(path), "--out", str(out)]
+        argv = [command, str(path), "--out", str(out), "--oracle"]
         argv += ["--axis", "K"] if command == "ablate" else []
-        argv += ["--oracle"] if flag else []
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "oracle" in err and "model.kind" in err
