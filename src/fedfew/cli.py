@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import shutil
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
@@ -294,7 +295,9 @@ def run_ablation(config_path, axis: str, out_dir, oracle: bool = False,
 
     Every value is parsed and its config validated before the first run; the
     data and model do not depend on the axis, so a bad data or model value
-    fails the first run, before anything is written.
+    fails the first run, before anything is written.  A value that fails later
+    takes the earlier values' directories with it, and out_dir if the
+    ablation made it.
     """
     if axis not in _ABLATION_AXES:
         raise ConfigError(f"axis must be one of {tuple(_ABLATION_AXES)}, got {axis!r}")
@@ -318,12 +321,19 @@ def run_ablation(config_path, axis: str, out_dir, oracle: bool = False,
             cfg = replace(cfg, rounds=total_updates // value)
         runs.append((key.value.show(value), cfg))
     out = Path(out_dir)
-    rows = []
-    for label, cfg in runs:
-        summary = run_experiment(cfg, out / f"{axis}_{label}", oracle=oracle)
-        rows.append({"value": label, **summary})
-    _write_csv(out / "ablation.csv", ["axis", *rows[0]],
-               [[axis, *r.values()] for r in rows])
+    made_out = not out.exists()
+    rows, written = [], []
+    try:
+        for label, cfg in runs:
+            run_dir = out / f"{axis}_{label}"
+            rows.append({"value": label, **run_experiment(cfg, run_dir, oracle=oracle)})
+            written.append(run_dir)
+        _write_csv(out / "ablation.csv", ["axis", *rows[0]],
+                   [[axis, *r.values()] for r in rows])
+    except Exception:
+        for path in [out] if made_out else written:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
     return rows
 
 

@@ -163,19 +163,23 @@ def local_training(spec, rows, thetas, epochs, batch_size, eta, batch_rng):
     m, k, d = thetas.shape
     local = np.array(thetas, dtype=np.float64)
     losses, grads = np.empty((m, k)), np.empty((m, k, d))
-    for ids, counts in _blocks(rows):
+    for ids, counts in _blocks(spec, rows, k):
         part, theta = rows[ids, :, : counts[0]], local[ids]
-        pos, weights, live = _batch_plan(counts, batch_size)
-        shuffled = [(i, j, batch_rng(ids[i], j))
-                    for i in range(len(ids)) for j in range(k) if batch_size < counts[i]]
-        order = np.broadcast_to(np.arange(counts[0]), (len(ids), k, counts[0])).copy()
-        for _ in range(epochs):
-            for i, j, rng in shuffled:
-                order[i, j, : counts[i]] = rng.permutation(counts[i])
-            for s, a in enumerate(live):
-                batch = part if not shuffled else part[:a].take(
-                    np.take_along_axis(order[:a], pos[:a, None, s], axis=2), weights[:a, None, s])
-                theta[:a] -= eta * grid_loss_and_grad(spec, theta[:a], batch)[1]
+        if batch_size >= counts[0]:  # every client's batch is its whole split
+            for _ in range(epochs):
+                theta -= eta * grid_loss_and_grad(spec, theta, part)[1]
+        else:
+            pos, weights, live = _batch_plan(counts, batch_size)
+            shuffled = [(i, j, batch_rng(ids[i], j))
+                        for i in range(len(ids)) for j in range(k) if batch_size < counts[i]]
+            order = np.broadcast_to(np.arange(counts[0]), (len(ids), k, counts[0])).copy()
+            for _ in range(epochs):
+                for i, j, rng in shuffled:
+                    order[i, j, : counts[i]] = rng.permutation(counts[i])
+                for s, a in enumerate(live):
+                    batch = part[:a].take(
+                        np.take_along_axis(order[:a], pos[:a, None, s], axis=2), weights[:a, None, s])
+                    theta[:a] -= eta * grid_loss_and_grad(spec, theta[:a], batch)[1]
         local[ids] = theta
         losses[ids], grads[ids] = grid_loss_and_grad(spec, theta, part)
     return local, losses, grads

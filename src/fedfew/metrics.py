@@ -29,7 +29,7 @@ def accuracy(spec: ModelSpec, models, rows: ClientRows) -> np.ndarray:
     """(M,) fraction of client i's rows, of a stacked split, where the argmax
     prediction of models[i] (M, d) equals the label."""
     correct = np.empty(rows.x.shape[0], dtype=np.int64)
-    for ids, counts in _blocks(rows):
+    for ids, counts in _blocks(spec, rows, 1):
         part = rows[ids, :, : counts[0]]
         hits = (grid_predict(spec, models[ids, None], part) == part.labels) & (part.weights > 0)
         correct[ids] = np.count_nonzero(hits[:, 0], axis=1)

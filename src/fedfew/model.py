@@ -193,25 +193,37 @@ def grid_predict(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:
     return np.argmax(_grid_logits(spec, thetas, rows)[0], axis=-2)
 
 
-# Clients per block of the grid: bounds the kernel's temporaries, which grow
-# with block * K' * C * n, whatever M is.
-CLIENT_BLOCK = 256
+# Entries (float64) of a block's largest array, 128 KiB.  A block's logits,
+# exponentials and hidden layer hold block * K' * max(C, h) * n entries, and the
+# rows it gathers block * (p + 1) * n; sizing blocks by these bounds every
+# temporary whatever M and n are.  Below glibc's 128 KiB mmap threshold a
+# temporary comes from the heap and its memory serves the next call, where a
+# larger one is mapped, returned to the system when freed, and faulted in
+# again by the next call.  Blocks this small also stay in cache.
+BLOCK_ENTRIES = 2**14
 
 
-def _blocks(rows: ClientRows) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of at most CLIENT_BLOCK clients and their split sizes, largest
-    first: a block pads little, and its clients with batches left lead it."""
+def _blocks(spec: ModelSpec, rows: ClientRows, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks of clients and their split sizes, largest first: a block pads
+    little, and its clients with batches left lead it.  For a grid of K' = k
+    models a block takes as many clients as BLOCK_ENTRIES allows at its
+    largest split, and at least one."""
     counts = rows.counts
     by_size = np.argsort(-counts, kind="stable")
-    return [(ids, counts[ids])
-            for ids in np.split(by_size, range(CLIENT_BLOCK, len(counts), CLIENT_BLOCK))]
+    per_row = max(k * max(spec.classes, spec.hidden_dim), spec.input_dim + 1)
+    blocks, start = [], 0
+    while start < len(by_size):
+        ids = by_size[start : start + max(1, BLOCK_ENTRIES // (counts[by_size[start]] * per_row))]
+        blocks.append((ids, counts[ids]))
+        start += len(ids)
+    return blocks
 
 
 def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows) -> np.ndarray:
     """(M, K') losses on every client's rows, block by block: models (K', d)
     are scored on every client, a grid (M, K', d) scores models[i] on client i."""
     losses = np.empty((rows.x.shape[0], models.shape[-2]))
-    for ids, counts in _blocks(rows):
+    for ids, counts in _blocks(spec, rows, models.shape[-2]):
         grid = models[ids] if models.ndim == 3 else np.broadcast_to(models, (len(ids), *models.shape))
         losses[ids] = grid_loss(spec, grid, rows[ids, :, : counts[0]])
     return losses

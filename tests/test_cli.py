@@ -315,6 +315,25 @@ class TestRunAblation:
         with pytest.raises(ConfigError):
             run_ablation(path, "mu", tmp_path / "none")
 
+    def test_failing_value_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def failing(cfg, problem, spec):
+            if cfg.models == 2:
+                raise FloatingPointError("second value fails")
+            return run_fedfew(cfg, problem, spec)
+
+        run_fedfew = cli.RUNNERS["fedfew"]
+        monkeypatch.setitem(cli.RUNNERS, "fedfew", failing)
+        path = write_cfg(tmp_path, BASE + "ablate.K=1,2,3\n")
+        out = tmp_path / "ab"
+        assert main(["ablate", str(path), "--axis", "K", "--out", str(out)]) == 3
+        assert "second value fails" in capsys.readouterr().err
+        assert not out.exists()
+        # an --out made before keeps what it held, and only that
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(["ablate", str(path), "--axis", "K", "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     @pytest.mark.parametrize("text, axis, message", [
         (BASE + "ablate.K=2,x\n", "K", "ablate.K"),
         (BASE.replace("T=8", "T=4") + "ablate.local_epochs=1,2,7\n", "local_epochs",

@@ -1,5 +1,9 @@
 """Protocol behavior: client rounds, the four methods, selection, optima."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -453,6 +457,20 @@ def loop_fedfew(cfg, clients, spec, gradient_mode):
     return thetas, values
 
 
+def check_blocks_of_three_and_one(monkeypatch, spec, batch_size):
+    """fedfew on uneven_clients() in blocks of the largest three (29, 23 and 16
+    train rows, padded to 29) and the smallest (4 rows), against the task loop."""
+    per_row = max(2 * max(spec.classes, spec.hidden_dim), spec.input_dim + 1)
+    monkeypatch.setattr(model, "BLOCK_ENTRIES", 3 * 29 * per_row)
+    cfg, clients = replace(engine_cfg("fedfew", 2), batch_size=batch_size), uneven_clients()
+    problem = stacked(clients, spec)
+    assert [len(ids) for ids, _ in model._blocks(spec, problem.train, 2)] == [3, 1]
+    models, traces = run_fedfew(cfg, problem, spec)
+    expected, values = loop_fedfew(cfg, clients, spec, "lookahead")
+    np.testing.assert_allclose(models, expected, rtol=1e-10)
+    np.testing.assert_allclose([t.stch_value for t in traces], values, rtol=1e-10)
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
     @pytest.mark.parametrize("gradient_mode", ["lookahead", "delta"])
@@ -465,13 +483,12 @@ class TestBatchedEngine:
         np.testing.assert_allclose([t.stch_value for t in traces], values, rtol=1e-10)
 
     def test_blocks_of_sorted_clients_match_task_loop(self, monkeypatch):
-        # blocks of 3: the largest three clients, then the smallest
-        monkeypatch.setattr(model, "CLIENT_BLOCK", 3)
-        cfg, clients = engine_cfg("fedfew", 2), uneven_clients()
-        models, traces = run_fedfew(cfg, stacked(clients, MLP_SPEC), MLP_SPEC)
-        expected, values = loop_fedfew(cfg, clients, MLP_SPEC, "lookahead")
-        np.testing.assert_allclose(models, expected, rtol=1e-10)
-        np.testing.assert_allclose([t.stch_value for t in traces], values, rtol=1e-10)
+        check_blocks_of_three_and_one(monkeypatch, MLP_SPEC, batch_size=8)
+
+    @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
+    def test_full_batch_blocks_match_task_loop(self, monkeypatch, spec):
+        # every split fits one batch: both blocks take E whole-split steps
+        check_blocks_of_three_and_one(monkeypatch, spec, batch_size=29)
 
     @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
     def test_ifca_matches_task_loop(self, spec, monkeypatch):
@@ -511,3 +528,31 @@ class TestBatchedEngine:
         cfg = replace(engine_cfg("local", 1), learning_rate=1e200)
         with pytest.raises(FloatingPointError, match=r"round 1: client (\d+), model \1:"):
             run_local(cfg, stacked(uneven_clients(), MLP_SPEC), MLP_SPEC)
+
+
+# three rounds at M=1200 in a fresh interpreter, so the allocator starts clean
+CHURN_PROBE = textwrap.dedent("""
+    import resource, sys
+    from dataclasses import replace
+    from fedfew.cli import parse_config
+    from fedfew.federation import build_problem, run_fedfew
+    cfg = replace(parse_config(sys.argv[1]), clients=1200, rounds=3)
+    problem, spec = build_problem(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_fedfew(cfg, problem, spec)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.rounds)
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_rounds_at_1200_clients_reuse_their_memory():
+    # a churn guard in place of a wall-clock gate: kernel temporaries above the
+    # allocator's mmap threshold go back to the system after every call and
+    # fault in again on the next, about 5,000 faults per round at this size
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", CHURN_PROBE,
+                           str(ROOT / "scripts" / "configs" / "group_recovery.cfg")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 1000

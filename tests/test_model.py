@@ -1,10 +1,14 @@
 """The grid kernel: losses, gradients against finite differences, predictions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedfew import model
 from fedfew.errors import ConfigError
 from fedfew.model import (
     ModelSpec,
@@ -278,3 +282,32 @@ class TestGridKernel:
                 np.testing.assert_allclose(grads[i, k],
                                            grad(spec, thetas[i, k], x[rows_ik], y[rows_ik]),
                                            rtol=0, atol=1e-12)
+
+
+# softmax, the MLP, and a spec whose gathered rows (p + 1 = 21) outgrow K' * C
+BLOCK_SPECS = [
+    ModelSpec("softmax-regression", input_dim=2, classes=3),
+    ModelSpec("mlp-1hidden", input_dim=2, classes=2, hidden_dim=5),
+    ModelSpec("softmax-regression", input_dim=20, classes=2),
+]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=["softmax", "mlp", "wide"])
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.lists(st.integers(1, 300), min_size=1, max_size=60),
+           budget=st.sampled_from([100, 2000, model.BLOCK_ENTRIES]))
+    def test_sorted_blocks_within_the_budget(self, spec, k, counts, budget):
+        rows = stack_rows(spec, [(np.zeros((n, spec.input_dim)), np.zeros(n, dtype=int))
+                                 for n in counts])
+        with mock.patch.object(model, "BLOCK_ENTRIES", budget):
+            blocks = model._blocks(spec, rows, k)
+        ids = np.concatenate([block for block, _ in blocks])
+        np.testing.assert_array_equal(np.sort(ids), np.arange(len(counts)))
+        sizes = np.concatenate([sizes for _, sizes in blocks])
+        np.testing.assert_array_equal(sizes, np.asarray(counts)[ids])
+        assert np.all(np.diff(sizes) <= 0)
+        per_row = max(k * max(spec.classes, spec.hidden_dim), spec.input_dim + 1)
+        for block, block_sizes in blocks:
+            assert len(block) == 1 or len(block) * block_sizes[0] * per_row <= budget
