@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import ClientRows, ModelSpec, stack_rows
-from .numerics import Rng
+from .model import BLOCK_ENTRIES, ClientRows, ModelSpec, stack_rows
+from .numerics import Rng, Streams
 
 
 @dataclass
@@ -157,19 +157,14 @@ def _circle_means(count: int, input_dim: int, separation: float) -> np.ndarray:
     return means
 
 
-def _balanced_labels(n: int, classes: int, rng: Rng) -> np.ndarray:
-    counts = np.full(classes, n // classes)
-    counts[: n % classes] += 1
-    labels = np.repeat(np.arange(classes), counts)
-    return labels[rng.permutation(n)]
-
-
 def gen_mixture(data: DataConfig, M: int, rng: Rng,
                 validation_fraction: float = 0.2) -> Problem:
     """Sample M grouped clients; clients within a group are i.i.d. draws.
 
-    Client i draws its train and validation rows from rng.split(i, 0), splits
-    them with rng.split(i, 1) and draws its test rows from rng.split(i, 2).
+    Client i orders its labels and draws its noise from stream rng.split(i, 0),
+    splits its rows with rng.split(i, 1) and draws its test rows, likewise,
+    from rng.split(i, 2).  The 3M streams are keyed in one pass; only their
+    draws run client by client, the rest over chunks of clients.
     """
     G = data.groups
     sizes = data.clients_per_group or [M // G + (g < M % G) for g in range(G)]
@@ -190,23 +185,65 @@ def gen_mixture(data: DataConfig, M: int, rng: Rng,
         means = _circle_means(G * C, p, data.separation).reshape(G, C, p)
     # means[g, label]: the cluster center of label in group g, (G, C, p)
 
-    def draw(group: int, stream: Rng):
-        labels = _balanced_labels(n, C, stream)
-        return means[group, labels] + data.noise_std * stream.normal(size=(n, p)), labels
-
+    # every client has these class counts, so the same split sizes
+    counts = np.full(C, n // C)
+    counts[: n % C] += 1
+    base = np.repeat(np.arange(C), counts)  # a client's labels are base[permutation(n)]
+    present = counts[counts > 0]
+    v, take = _split_rule(present, validation_fraction)
+    stratified = take is not None
+    # the spans a split permutes: each class's rows grouped by class, or all rows
+    spans, take = (present, take) if stratified else (np.array([n]), np.array([v]))
+    span_start = np.repeat(np.cumsum(spans) - spans, take)  # (v,)
+    # span, its validation rows and where they end in a client's (v,) picks
+    draws = list(zip(spans.tolist(), take.tolist(), np.cumsum(take).tolist()))
     groups = np.repeat(np.arange(G), sizes)
-    stacks = None
-    for i, group in enumerate(groups.tolist()):
-        x, y = draw(group, rng.split(i, 0))
-        train, val = split_indices(y, validation_fraction, rng.split(i, 1))
-        parts = ((x[train], y[train]), (x[val], y[val]), draw(group, rng.split(i, 2)))
-        if stacks is None:  # every client has the same class counts, so the same split sizes;
-            # each client overwrites all of x but the bias column of ones
-            stacks = [ClientRows(np.ones((M, 1, k, p + 1)), np.zeros((M, 1, k), dtype=np.int64),
-                                 np.full((M, 1, k), 1.0 / k)) for k in (y.size for _, y in parts)]
+    # each client overwrites all of x but the bias column of ones
+    stacks = [ClientRows(np.ones((M, 1, k, p + 1)), np.zeros((M, 1, k), dtype=np.int64),
+                         np.full((M, 1, k), 1.0 / k)) for k in (n - v, v, n)]
+    prefix = np.array(rng.path, dtype=np.int64)
+    paths = np.column_stack([np.broadcast_to(prefix, (3 * M, prefix.size)),
+                             np.arange(3 * M) // 3, np.arange(3 * M) % 3])
+    streams = Streams(rng.seed, paths)  # stream 3i + j is rng.split(i, j)
+
+    def sample(group, order, noise):
+        """Features means[group, labels] + noise_std * noise of labels base[order]."""
+        labels = base[order]
+        noise *= data.noise_std
+        noise += means[group, labels]
+        return noise, labels
+
+    chunk = max(1, BLOCK_ENTRIES // (n * p))  # clients whose noise fills one block
+    for start in range(0, M, chunk):
+        stop = min(start + chunk, M)
+        order, test_order = (np.empty((stop - start, n), dtype=np.int64) for _ in range(2))
+        noise, test_noise = (np.empty((stop - start, n, p)) for _ in range(2))
+        pick = np.empty((stop - start, v), dtype=np.int64)
+        for j, i in enumerate(range(start, stop)):
+            gen = streams[3 * i]
+            order[j] = gen.permutation(n)
+            noise[j] = gen.normal(size=(n, p))
+            gen = streams[3 * i + 1]
+            for span, k, end in draws:
+                pick[j, end - k : end] = gen.permutation(span)[:k]
+            gen = streams[3 * i + 2]
+            test_order[j] = gen.permutation(n)
+            test_noise[j] = gen.normal(size=(n, p))
+        group = groups[start:stop, None]
+        x, y = sample(group, order, noise)
+        held = span_start + pick
+        if stratified:  # positions among the rows grouped by class, in row order
+            held = np.take_along_axis(np.argsort(y, axis=1, kind="stable"), held, axis=1)
+        in_val = np.zeros((stop - start, n), dtype=bool)
+        np.put_along_axis(in_val, held, True, axis=1)
+        train = np.nonzero(~in_val)[1].reshape(-1, n - v)
+        val = np.nonzero(in_val)[1].reshape(-1, v)
+        parts = [(np.take_along_axis(x, idx[:, :, None], axis=1), np.take_along_axis(y, idx, axis=1))
+                 for idx in (train, val)]
+        parts.append(sample(group, test_order, test_noise))
         for rows, (features, labels) in zip(stacks, parts):
-            rows.x[i, 0, :, :p] = features
-            rows.labels[i, 0] = labels
+            rows.x[start:stop, 0, :, :p] = features
+            rows.labels[start:stop, 0] = labels
     return Problem(*stacks, classes=C, groups=groups)
 
 
@@ -288,41 +325,55 @@ def pathological_partition(
     return _finalize_clients(base, assignment, rng.split(_SPLIT_STREAM), validation_fraction)
 
 
-def split_indices(labels: np.ndarray, fraction: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint train and validation row indices, each in increasing order.
+def _split_rule(counts: np.ndarray, fraction: float) -> tuple[int, np.ndarray | None]:
+    """Validation sizes of a split of rows whose classes have counts > 0 rows:
+    (v, take), take[c] the validation rows of class c, or None when the split
+    is not stratified and validation is the first v rows of one permutation.
 
     Validation aims at v = ceil(fraction * n) rows, clipped to [1, n - 1].
-    When every present class has >= 2 rows the split is stratified: class c
-    gives floor(fraction * n_c) rows, and the classes then give one more row
-    each, in order of largest remainder fraction * n_c - floor(fraction * n_c)
-    (ties to the lower class), round after round, until v is reached.  No
-    class gives more than n_c - 1 rows, so every class keeps a train row; when
-    the classes run out of spare rows validation stays below v.  At fraction
-    0.9 with classes of 2 and 10 rows, v is 11 and validation gets 1 + 9 = 10.
-    Otherwise validation is the first v rows of one permutation.
+    When every class has >= 2 rows the split is stratified: class c gives
+    floor(fraction * n_c) rows, and the classes then give one more row each,
+    in order of largest remainder fraction * n_c - floor(fraction * n_c) (ties
+    to the lower class), round after round, until v is reached.  No class
+    gives more than n_c - 1 rows, so every class keeps a train row; when the
+    classes run out of spare rows validation stays below v.  At fraction 0.9
+    with classes of 2 and 10 rows, v is 11 and validation gets 1 + 9 = 10.
     """
-    n = labels.size
+    n = int(counts.sum())
     if n < 2:
         raise ConfigError("cannot split a dataset with fewer than 2 samples")
     if not (0.0 < fraction < 1.0):
         raise ConfigError(f"validation_fraction must lie in (0, 1), got {fraction:g}")
     v_total = min(max(1, math.ceil(fraction * n)), n - 1)
+    if counts.min() < 2:
+        return v_total, None
+    caps = counts - 1
+    take = np.floor(fraction * counts).astype(np.int64)  # <= caps, as fraction < 1
+    order = np.argsort(take - fraction * counts, kind="stable")
+    short = v_total - int(take.sum())  # >= 0: take <= fraction * counts
+    while short > 0 and np.any(take < caps):
+        bump = order[take[order] < caps[order]][:short]
+        take[bump] += 1
+        short -= bump.size
+    return int(take.sum()), take
+
+
+def split_indices(labels: np.ndarray, fraction: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint train and validation row indices, each in increasing order,
+    sized by _split_rule.  A stratified split draws one permutation per
+    present class, in class order, and class c's validation rows are the
+    first take[c] of its rows in that order; otherwise validation is the
+    first v rows of one permutation of all rows.
+    """
     present, counts = np.unique(labels, return_counts=True)
-    val_mask = np.zeros(n, dtype=bool)
-    if counts.min() >= 2:
-        caps = counts - 1
-        take = np.floor(fraction * counts).astype(np.int64)  # <= caps, as fraction < 1
-        order = np.argsort(take - fraction * counts, kind="stable")
-        short = v_total - int(take.sum())  # >= 0: take <= fraction * counts
-        while short > 0 and np.any(take < caps):
-            bump = order[take[order] < caps[order]][:short]
-            take[bump] += 1
-            short -= bump.size
+    v, take = _split_rule(counts, fraction)
+    val_mask = np.zeros(labels.size, dtype=bool)
+    if take is None:
+        val_mask[rng.permutation(labels.size)[:v]] = True
+    else:
         for c, k in zip(present, take):
             idx = np.flatnonzero(labels == c)
             val_mask[idx[rng.permutation(idx.size)][:k]] = True
-    else:
-        val_mask[rng.permutation(n)[:v_total]] = True
     return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
 
 

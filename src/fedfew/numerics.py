@@ -109,3 +109,93 @@ class Rng:
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, path={self.path})"
+
+
+# numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe): its pool
+# size, its entropy and output hash constants and its mixing multipliers
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_WORD = 2**32
+
+
+def philox_keys(seed: int, paths) -> np.ndarray:
+    """(S, 2) uint64 Philox keys of the streams Rng(seed, path), one per row of
+    the (S, L) paths, in one array pass.
+
+    Row s equals SeedSequence(seed, spawn_key=paths[s]).generate_state(2,
+    np.uint64).  The entropy is the seed's 32-bit words, padded with zeros to
+    the pool size when a path follows, then the path entries; it is hashed into
+    a pool of 4 words, which are hashed again into the key.  Every stream hashes
+    as many words, so the hash constants advance alike and each step is one
+    uint32 array operation over all S streams.
+    """
+    if seed < 0 or seed >= 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    paths = np.asarray(paths)
+    if paths.ndim != 2:
+        raise ValueError(f"paths must be an (S, L) array, got shape {paths.shape}")
+    if paths.size and (paths.dtype.kind not in "iu" or paths.min() < 0 or paths.max() >= _WORD):
+        # SeedSequence would split a larger entry into several words
+        raise ValueError("split path entries must lie in [0, 2**32)")
+    words = [seed % _WORD, seed // _WORD] if seed >= _WORD else [seed]
+    if paths.shape[1]:
+        words += [0] * (_POOL - len(words))
+    entropy = [np.full(len(paths), w, dtype=np.uint32) for w in words]
+    entropy += list(paths.T.astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A % _WORD
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(paths), dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, const = [], _INIT_B
+    for word in pool:
+        word = word ^ np.uint32(const)
+        const = const * _MULT_B % _WORD
+        word = word * np.uint32(const)
+        out.append((word ^ (word >> 16)).astype(np.uint64))
+    # little-endian pairs of 32-bit words make each 64-bit key word
+    return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)
+
+
+class Streams:
+    """The streams Rng(seed, path) for each row of the (S, L) paths, keyed by
+    one philox_keys pass and served one at a time by one shared generator.
+
+    streams[s] restarts the generator on stream s, so it draws what a fresh
+    Rng(seed, paths[s]) draws; the stream served before it ends there.  It
+    costs a state switch, where each Rng costs a SeedSequence and a Philox.
+    """
+
+    def __init__(self, seed: int, paths):
+        self._keys = philox_keys(seed, paths)
+        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bits)
+        # a fresh Philox: counter and buffer zero, no buffered 32-bit half
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def __getitem__(self, s: int) -> np.random.Generator:
+        self._state["state"]["key"] = self._keys[s]
+        self._bits.state = self._state
+        return self._gen

@@ -23,6 +23,7 @@ from fedfew.cli import (
 from fedfew.data import DataConfig, Dataset
 from fedfew.errors import ConfigError
 from fedfew.federation import ExperimentConfig, ModelConfig
+from fedfew.numerics import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -274,6 +275,23 @@ class TestStackOnce:
             assert events == ["build_problem"]
         else:  # per-client Datasets, then one stack per split (no test split)
             assert events.count("stack_rows") == 2
+
+    def test_mixture_build_keys_its_client_streams_in_one_pass(self, monkeypatch):
+        """3M client streams cost no Rng each: at M=1200 a per-client Rng
+        would make 3,602 of them."""
+        constructions = []
+        init = Rng.__init__
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            constructions.append(self.path)
+
+        monkeypatch.setattr(Rng, "__init__", counted_init)
+        cfg = replace(parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg"),
+                      clients=1200)
+        problem, _ = cli.build_problem(cfg)
+        assert len(problem) == 1200
+        assert len(constructions) <= 10
 
 
 class TestRunAblation:

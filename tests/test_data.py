@@ -13,6 +13,7 @@ from fedfew.data import (
     ClientDataset,
     DataConfig,
     Dataset,
+    _circle_means,
     dirichlet_partition,
     gen_mixture,
     load_csv,
@@ -35,6 +36,28 @@ def balanced_base(classes: int, per_class: int) -> Dataset:
 
 def all_rows(client: ClientDataset) -> np.ndarray:
     return np.concatenate([client.train.features[:, 0], client.validation.features[:, 0]])
+
+
+def client_by_client(data: DataConfig, M: int, rng: Rng, fraction: float):
+    """gen_mixture's clients drawn the simple way: one Rng per stream, and
+    split_indices on each client.  Yields (train, validation, test, group)
+    of (features, labels) pairs."""
+    G, C, p, n = data.groups, data.classes, data.input_dim, data.samples_per_client
+    sizes = data.clients_per_group or [M // G + (g < M % G) for g in range(G)]
+    if data.permute_labels:
+        means = _circle_means(C, p, data.separation)[(np.arange(C) - np.arange(G)[:, None]) % C]
+    else:
+        means = _circle_means(G * C, p, data.separation).reshape(G, C, p)
+    base = np.sort(np.arange(n) % C)  # balanced class counts, smaller classes last
+
+    def draw(group, stream):
+        labels = base[stream.permutation(n)]
+        return means[group, labels] + data.noise_std * stream.normal(size=(n, p)), labels
+
+    for i, group in enumerate(np.repeat(np.arange(G), sizes).tolist()):
+        x, y = draw(group, rng.split(i, 0))
+        train, val = split_indices(y, fraction, rng.split(i, 1))
+        yield (x[train], y[train]), (x[val], y[val]), draw(group, rng.split(i, 2)), group
 
 
 class TestGenMixture:
@@ -105,6 +128,28 @@ class TestGenMixture:
         data = DataConfig(groups=groups, clients_per_group=per_group)
         with pytest.raises(ConfigError, match=f"mixture.clients_per_group.*{message}"):
             gen_mixture(data, M, Rng(0))
+
+    @pytest.mark.parametrize("data, M, fraction", [
+        (DataConfig(groups=3, classes=3, input_dim=4, samples_per_client=60,
+                    permute_labels=True), 70, 0.2),  # two chunks
+        (DataConfig(groups=2, classes=5, input_dim=30, samples_per_client=11), 101, 0.45),
+        (DataConfig(groups=2, clients_per_group=[2, 7], classes=4, input_dim=2,
+                    samples_per_client=33), 9, 0.5),  # uneven class counts
+        (DataConfig(groups=3, classes=3, samples_per_client=5, permute_labels=True),
+         6, 0.9),  # a class of 1 row: one permutation of all rows
+        (DataConfig(classes=7, input_dim=3, samples_per_client=5), 4, 0.2),  # absent classes
+        (DataConfig(groups=2, input_dim=1, samples_per_client=40), 5, 0.01),
+    ])
+    @pytest.mark.parametrize("rng", [Rng(3), Rng(2**64 - 1).split(0), Rng(5, (2**32 - 1, 8))])
+    def test_chunks_match_client_by_client_generation(self, data, M, fraction, rng):
+        problem = gen_mixture(data, M, rng, fraction)
+        assert len(problem) == M
+        for client, expected in zip(problem, client_by_client(data, M, rng, fraction)):
+            *splits, group = expected
+            assert client.group == group
+            for split, (x, y) in zip((client.train, client.validation, client.test), splits):
+                np.testing.assert_array_equal(split.features, x)
+                np.testing.assert_array_equal(split.labels, y)
 
     def test_balanced_groups_when_counts_are_not_given(self):
         clients = gen_mixture(DataConfig(groups=3, samples_per_client=10), 8, Rng(0))
@@ -296,6 +341,19 @@ class TestPinnedBytes:
          "20b63422fd9c43dd8a8d5d9d1a206629e1e948eadd3a601651098e81ab48f070"),
         ("dirichlet_csv.cfg", {"partition": "pathological"},
          "9920f95115217b62ad21b3ecfcd05a9a47eca61b7be38fb99cb2be55d77f79e1"),
+        # class counts 2/2/1: the unstratified split
+        ("group_recovery.cfg", {"mixture.n_per_client": "5"},
+         "5b847e4dde6a454c1081f446bb895fb92ec20ba05e428fe65666946bb71d107a"),
+        # more clients than one generation chunk
+        ("group_recovery.cfg", {"M": "300"},
+         "741e2af89680715b2aa0df98e2e6492e26700de55e96ff1c99603c97de2b0e5d"),
+        # uneven class counts (9/8/8/8) and one cluster set per group
+        ("group_recovery.cfg", {"mixture.permute_labels": "0", "mixture.G": "2",
+                                "mixture.classes": "4", "mixture.n_per_client": "33"},
+         "e8b2043761746e13cce34d9ae2876570ed65ebc46f6b7e223f73460d233dfc60"),
+        # a seed of two 32-bit words
+        ("group_recovery.cfg", {"seed": "18446744073709551615"},
+         "438654064f2a587c2948f83ad64663409f28cc07238fbb8b9854c0a43c0b1afa"),
     ])
     def test_clients_match_their_digest(self, csv_data, config, pairs, digest):
         values = {**_read_pairs(CONFIGS / config), **pairs}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfew.numerics import Rng, log_sum_exp, smooth_min, softmin_weights
+from fedfew.numerics import Rng, Streams, log_sum_exp, philox_keys, smooth_min, softmin_weights
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=12
@@ -147,3 +147,68 @@ class TestRng:
             Rng(-1)
         with pytest.raises(ValueError):
             Rng(2**64)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def path_rows(length: int) -> np.ndarray:
+    """Paths of one length with entries at both ends of [0, 2**32) and between."""
+    entries = [0, 1, 7, 2**31, 2**32 - 2, 2**32 - 1]
+    return np.array([[entries[(r + c) % len(entries)] for c in range(length)]
+                     for r in range(len(entries))], dtype=np.int64)
+
+
+def fresh(seed, path) -> np.random.Generator:
+    """The generator inside a new Rng(seed, path)."""
+    return Rng(seed, tuple(int(p) for p in path))._gen
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+    def test_keys_match_seed_sequence(self, seed, length):
+        paths = path_rows(length)
+        keys = philox_keys(seed, paths)
+        assert keys.shape == (len(paths), 2) and keys.dtype == np.uint64
+        for path, key in zip(paths, keys):
+            seq = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
+            np.testing.assert_array_equal(key, seq.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**40])
+    def test_entry_outside_one_word_rejected(self, bad):
+        with pytest.raises(ValueError, match="path entries"):
+            philox_keys(0, np.array([[0, 1], [bad, 2]], dtype=np.int64))
+
+    def test_entry_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="path entries"):
+            philox_keys(0, [[2**64]])
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_served_streams_draw_as_fresh_rngs(self, seed):
+        paths = np.vstack([path_rows(3), [[5, 0, 2], [0, 0, 0]]])
+        streams = Streams(seed, paths)
+        for s in [3, 0, 6, 3, 1, 5, 2, 4]:  # out of order, and one twice
+            gen, ref = streams[s], fresh(seed, paths[s])
+            np.testing.assert_array_equal(gen.permutation(60), ref.permutation(60))
+            np.testing.assert_array_equal(gen.normal(size=(7, 3)), ref.normal(size=(7, 3)))
+            np.testing.assert_array_equal(gen.integers(0, 1000, size=9, dtype=np.int32),
+                                          ref.integers(0, 1000, size=9, dtype=np.int32))
+            np.testing.assert_array_equal(gen.uniform(-1, 2, size=5), ref.uniform(-1, 2, size=5))
+
+    def test_buffered_half_word_does_not_leak_into_the_next_stream(self):
+        paths = [[0, 1], [0, 2]]
+        streams = Streams(9, paths)
+        gen = streams[0]
+        gen.random(dtype=np.float32)  # one 32-bit draw of a 64-bit word
+        assert gen.bit_generator.state["has_uint32"] == 1  # its other half waits
+        gen, ref = streams[1], fresh(9, paths[1])
+        np.testing.assert_array_equal(gen.integers(0, 50, size=11, dtype=np.int32),
+                                      ref.integers(0, 50, size=11, dtype=np.int32))
+        np.testing.assert_array_equal(gen.normal(size=4), ref.normal(size=4))
+
+    def test_empty_path_is_the_root_stream(self):
+        streams = Streams(2**40, np.zeros((1, 0), dtype=np.int64))
+        np.testing.assert_array_equal(streams[0].normal(size=6), Rng(2**40).normal(size=6))
