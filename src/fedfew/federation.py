@@ -16,6 +16,8 @@ models are a pure function of the configuration.
 Every method trains all client-model pairs of an (M, K') grid of parameter
 vectors at once (local_training): fedfew broadcasts its K models, fedavg its
 one, ifca gives each client its best model and local each client its own.
+What is the same in every round of a run, the blocks of clients, their batch
+schedules and the keys of the batch streams, a RunPlan settles once.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .data import (
 )
 from .errors import ConfigError
 from .metrics import weight_diagnostics
-from .model import (MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses,
-                    grid_loss_and_grad, init_params, softmax_hessian)
-from .numerics import Rng
+from .model import (BLOCK_ENTRIES, MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses,
+                    grid_loss, grid_loss_and_grad, init_params, softmax_hessian)
+from .numerics import Rng, Streams
 from .scalarization import aggregate_gradients, compute_weights
 
 # named substreams of the experiment seed
@@ -152,37 +154,105 @@ def _batch_plan(counts: np.ndarray, batch_size: int):
     return pos, weights, np.count_nonzero(length, axis=0)
 
 
-def local_training(spec, rows, thetas, epochs, batch_size, eta, batch_rng):
+def training_blocks(spec, rows, k, batch_size, epochs):
+    """local_training's blocks for a grid of K' = k models: the clients, their
+    split sizes and their batch schedule, None when every client's batch is its
+    whole split.  A schedule is an epoch's batches side by side: the positions
+    each client reads of its row order, and their weights, (a, 1, S * B); the
+    (S,) count of clients that have each batch; and how many clients, a
+    prefix, shuffle their rows (split larger than one batch).
+    """
+    blocks = []
+    for ids, counts in _blocks(spec, rows, k, batch_size, epochs):
+        schedule = None
+        if batch_size < counts[0]:
+            pos, weights, live = _batch_plan(counts, batch_size)
+            flat = (len(ids), 1, -1)
+            schedule = (pos.reshape(flat), weights.reshape(flat), live,
+                        np.count_nonzero(counts > batch_size))
+        blocks.append((ids, counts, schedule))
+    return blocks
+
+
+def local_training(spec, rows, thetas, blocks, epochs, eta, batch_rng, grads=True):
     """E epochs of mini-batch descent on every (client, model) pair of a grid.
 
-    Client i trains thetas[i, k] (M, K', d) on rows[i], its stacked train split,
-    in batches of min(batch_size, n_i) rows, one permutation per epoch drawn from
-    batch_rng(i, k); a client whose batch is its whole split draws none.
-    Returns the local parameters and the whole-split loss and gradient there.
+    Client i trains thetas[i, k] (M, K', d) on rows[i], its stacked train
+    split, block by block (training_blocks), in batches of min(batch_size,
+    n_i) rows, one permutation per epoch drawn from batch_rng(i, k), all E of
+    a task back to back; a client whose batch is its whole split draws none.
+    Returns the local parameters and the whole-split loss there, and with
+    grads its gradient there too (else None).
     """
     m, k, d = thetas.shape
     local = np.array(thetas, dtype=np.float64)
-    losses, grads = np.empty((m, k)), np.empty((m, k, d))
-    for ids, counts in _blocks(spec, rows, k):
+    losses, gradients = np.empty((m, k)), np.empty((m, k, d)) if grads else None
+    for ids, counts, schedule in blocks:
         part, theta = rows[ids, :, : counts[0]], local[ids]
-        if batch_size >= counts[0]:  # every client's batch is its whole split
+        if schedule is None:  # every client's batch is its whole split
             for _ in range(epochs):
-                theta -= eta * grid_loss_and_grad(spec, theta, part)[1]
+                theta -= eta * grid_loss_and_grad(spec, theta, part, loss=False)[1]
         else:
-            pos, weights, live = _batch_plan(counts, batch_size)
-            shuffled = [(i, j, batch_rng(ids[i], j))
-                        for i in range(len(ids)) for j in range(k) if batch_size < counts[i]]
-            order = np.broadcast_to(np.arange(counts[0]), (len(ids), k, counts[0])).copy()
-            for _ in range(epochs):
-                for i, j, rng in shuffled:
-                    order[i, j, : counts[i]] = rng.permutation(counts[i])
+            pos, weights, live, shuffled = schedule
+            width = pos.shape[2] // len(live)
+            order = np.empty((epochs, len(ids), k, counts[0]), dtype=np.int64)
+            order[:, shuffled:] = np.arange(counts[0])
+            for i in range(shuffled):
+                for j in range(k):
+                    rng = batch_rng(ids[i], j)
+                    for e in range(epochs):
+                        order[e, i, j, : counts[i]] = rng.permutation(counts[i])
+            for e in range(epochs):
+                # one gather per epoch; batch s is its s-th slice of width B
+                epoch = part.take(np.take_along_axis(order[e], pos, axis=2), weights)
                 for s, a in enumerate(live):
-                    batch = part[:a].take(
-                        np.take_along_axis(order[:a], pos[:a, None, s], axis=2), weights[:a, None, s])
-                    theta[:a] -= eta * grid_loss_and_grad(spec, theta[:a], batch)[1]
+                    batch = epoch[:a, :, s * width : (s + 1) * width]
+                    theta[:a] -= eta * grid_loss_and_grad(spec, theta[:a], batch, loss=False)[1]
         local[ids] = theta
-        losses[ids], grads[ids] = grid_loss_and_grad(spec, theta, part)
-    return local, losses, grads
+        if grads:
+            losses[ids], gradients[ids] = grid_loss_and_grad(spec, theta, part)
+        else:
+            losses[ids] = grid_loss(spec, theta, part)
+    return local, losses, gradients
+
+
+class RunPlan:
+    """A run's local training as far as every round does it alike, settled
+    before round 1 for a grid of K' models per client and S stream ids:
+
+    - training_blocks' blocks, split sizes and batch schedules;
+    - the batch streams (STREAM_BATCH, t, i, s) of every round t, client i and
+      stream id s, keyed a pass of max(1, BLOCK_ENTRIES // (M * S)) rounds at
+      a time and served by one numerics.Streams; a run whose every split is
+      one batch keys none;
+    - whether the final pass computes the gradient (grads) or the loss only.
+
+    It holds no rows: every round slices its blocks from the run's stack.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, spec: ModelSpec, rows: ClientRows, k: int,
+                 stream_ids: int, grads: bool):
+        self.cfg, self.spec, self.grads, self.stream_ids = cfg, spec, grads, stream_ids
+        self.blocks = training_blocks(spec, rows, k, cfg.batch_size, cfg.local_epochs)
+        self.shuffles = any(schedule is not None for *_, schedule in self.blocks)
+        self.pass_rounds = max(1, BLOCK_ENTRIES // (cfg.clients * stream_ids))
+        self._streams, self._first = None, 0
+
+    def batch_rng(self, t: int, streams: np.ndarray):
+        """Round t's batch_rng: pair (i, k) draws from stream id streams[i, k]."""
+        if not self.shuffles:
+            return None
+        M, S = self.cfg.clients, self.stream_ids
+        if self._streams is None or not self._first <= t < self._first + self.pass_rounds:
+            rounds = np.arange(t, min(t + self.pass_rounds, self.cfg.rounds + 1))
+            r, i, s = np.meshgrid(rounds, np.arange(M), np.arange(S), indexing="ij")
+            paths = np.stack([np.full(r.shape, STREAM_BATCH), r, i, s], axis=-1)
+            self._streams, self._first = Streams(self.cfg.seed, paths.reshape(-1, 4)), t
+        base = (t - self._first) * M
+
+        def batch_rng(i, k):
+            return self._streams[(base + i) * S + int(streams[i, k])]
+        return batch_rng
 
 
 def _uploads(gradient_mode, thetas, local, grads, eta):
@@ -197,25 +267,25 @@ def _uploads(gradient_mode, thetas, local, grads, eta):
     return grads if gradient_mode == "lookahead" else (thetas - local) / eta
 
 
-def _local_round(cfg: ExperimentConfig, spec, rows, grid, t: int, streams, models):
+def _local_round(plan: RunPlan, rows, grid, t: int, streams, models):
     """local_training of round t over a grid, checked for non-finite results.
 
     Pair (i, k) draws its batches from (STREAM_BATCH, t, i, streams[i, k]) and
     trains model models[i, k], which the error names.
     """
-    def batch_rng(i, k):
-        return Rng(cfg.seed, (STREAM_BATCH, t, i, int(streams[i, k])))
-
+    cfg = plan.cfg
     # a diverging run overflows; the check below reports where
     with np.errstate(over="ignore", invalid="ignore"):
-        local, losses, grads = local_training(spec, rows, grid, cfg.local_epochs,
-                                              cfg.batch_size, cfg.learning_rate, batch_rng)
-    bad = ~(np.isfinite(losses) & np.isfinite(grads).all(axis=2))
+        local, losses, grads = local_training(plan.spec, rows, grid, plan.blocks,
+                                              cfg.local_epochs, cfg.learning_rate,
+                                              plan.batch_rng(t, streams), plan.grads)
+    bad = ~(np.isfinite(losses) & np.isfinite(grads if plan.grads else local).all(axis=2))
     if bad.any():
         i, k = np.argwhere(bad)[0]
+        what = "gradient" if plan.grads else "parameters"
         raise FloatingPointError(
             f"round {t}: client {i}, model {int(models[i, k])}: non-finite loss or "
-            f"gradient after local training (learning_rate={cfg.learning_rate:g})")
+            f"{what} after local training (learning_rate={cfg.learning_rate:g})")
     return local, losses, grads
 
 
@@ -242,8 +312,9 @@ def _trace(t, weights, grad_norms, uploads) -> RoundTrace:
 
 
 def _init_models(spec: ModelSpec, seed: int, count: int) -> np.ndarray:
-    root = Rng(seed)
-    return np.stack([init_params(spec, root.split(STREAM_INIT, k)) for k in range(count)])
+    """Model k from stream (STREAM_INIT, k), all keyed in one pass."""
+    streams = Streams(seed, [(STREAM_INIT, k) for k in range(count)])
+    return np.stack([init_params(spec, streams[k]) for k in range(count)])
 
 
 def run_fedfew(
@@ -259,10 +330,11 @@ def run_fedfew(
     M, K = cfg.clients, cfg.models
     thetas = _init_models(spec, cfg.seed, K)
     models = np.broadcast_to(np.arange(K), (M, K))
+    plan = RunPlan(cfg, spec, rows, K, K, grads=gradient_mode == "lookahead")
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
         grid = np.broadcast_to(thetas, (M, *thetas.shape))
-        local, losses, grads = _local_round(cfg, spec, rows, grid, t, models, models)
+        local, losses, grads = _local_round(plan, rows, grid, t, models, models)
         uploads = _uploads(gradient_mode, grid, local, grads, cfg.learning_rate)
         weights = compute_weights(losses * share[:, None], cfg.mu)
         agg = aggregate_gradients(weights, uploads * share[:, None, None])
@@ -282,10 +354,11 @@ def run_fedavg(
     M = cfg.clients
     theta = _init_models(spec, cfg.seed, 1)[0]
     models = np.zeros((M, 1), dtype=np.int64)
+    plan = RunPlan(cfg, spec, rows, 1, 1, grads=False)
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
         grid = np.broadcast_to(theta, (M, 1, theta.size))
-        local, losses, _ = _local_round(cfg, spec, rows, grid, t, models, models)
+        local, losses, _ = _local_round(plan, rows, grid, t, models, models)
         new_theta = share @ local[:, 0]
         norm = np.linalg.norm(theta - new_theta) / cfg.learning_rate
         traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
@@ -303,11 +376,14 @@ def run_ifca(
     spec, sizes, share, rows = _problem(cfg, problem, spec)
     M, K = cfg.clients, cfg.models
     thetas = _init_models(spec, cfg.seed, K)
+    # a client trains the one model it chose, on the stream of that model's id
+    plan = RunPlan(cfg, spec, rows, 1, K, grads=False)
+    eval_blocks = _blocks(spec, rows, K)
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
-        eval_losses = _grid_losses(spec, thetas, rows)
+        eval_losses = _grid_losses(spec, thetas, rows, eval_blocks)
         choice = np.argmin(eval_losses, axis=1)[:, None]  # (M, 1)
-        local, _, _ = _local_round(cfg, spec, rows, thetas[choice], t, choice, choice)
+        local, _, _ = _local_round(plan, rows, thetas[choice], t, choice, choice)
         mass = (choice == np.arange(K)) * sizes[:, None]  # (M, K) cluster members
         totals = mass.sum(axis=0)[:, None]
         # an empty cluster keeps its previous parameters
@@ -331,9 +407,10 @@ def run_local(
     thetas = _init_models(spec, cfg.seed, M)  # one model per client
     streams = np.zeros((M, 1), dtype=np.int64)
     models = np.arange(M)[:, None]  # client i trains model i
+    plan = RunPlan(cfg, spec, rows, 1, 1, grads=False)
     traces: list[RoundTrace] = []
     for t in range(1, cfg.rounds + 1):
-        local, losses, _ = _local_round(cfg, spec, rows, thetas[:, None], t, streams, models)
+        local, losses, _ = _local_round(plan, rows, thetas[:, None], t, streams, models)
         new_thetas = local[:, 0]
         step_norm = float(np.mean(np.linalg.norm(thetas - new_thetas, axis=1))) / cfg.learning_rate
         traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),

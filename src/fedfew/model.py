@@ -80,7 +80,7 @@ class ClientRows:
         return np.count_nonzero(self.weights[:, 0], axis=1)
 
     def take(self, rows: np.ndarray, weights: np.ndarray) -> "ClientRows":
-        """Per-task batches of a G=1 stack: rows (M, K', b) index each client's rows."""
+        """Per-task rows of a G=1 stack: rows (M, K', b) index each client's rows."""
         clients = np.arange(rows.shape[0])[:, None, None]
         return ClientRows(self.x[clients, 0, rows], self.labels[clients, 0, rows], weights)
 
@@ -125,10 +125,11 @@ def _grid_logits(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
     return w2[..., :h] @ a + w2[..., h:], a
 
 
-def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
-    """loss of every pair (M, K'), plus what the gradient needs: the
-    exponentials of the shifted logits (M, K', C, n), their sums over classes,
-    the one-hot labels times row weights (M, G, C, n) and the hidden layer.
+def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows, loss: bool = True):
+    """loss of every pair (M, K'), or None without loss, plus what the
+    gradient needs: the exponentials of the shifted logits (M, K', C, n), their
+    sums over classes, the one-hot labels times row weights (M, G, C, n) and
+    the hidden layer.
     """
     c = spec.classes
     z, a = _grid_logits(spec, thetas, rows)
@@ -136,6 +137,8 @@ def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
     e = np.exp(z)
     partition = e.sum(axis=-2, keepdims=True)
     target = (rows.labels[..., None, :] == np.arange(c)[:, None]) * rows.weights[..., None, :]
+    if not loss:
+        return None, e, partition, target, a
     # cross-entropy of a row: log partition minus the shifted logit of its label
     losses = (rows.weights * np.log(partition[..., 0, :])).sum(axis=-1)
     losses -= np.einsum("...cn,...cn->...", target, z)
@@ -148,14 +151,16 @@ def grid_loss(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:
     return _grid_forward(spec, thetas, rows)[0]
 
 
-def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows) -> tuple[np.ndarray, np.ndarray]:
-    """loss (M, K') and grad (M, K', d) of every pair of the grid in one pass.
+def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows,
+                       loss: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """loss (M, K') and grad (M, K', d) of every pair of the grid in one pass;
+    without loss (a training step's) the loss is None and not computed.
 
     thetas[i, k] is scored on the rows of client i: rows.x[i, 0] when G = 1,
     rows.x[i, k] when G = K'.
     """
     m, k, _ = thetas.shape
-    losses, delta, partition, target, a = _grid_forward(spec, thetas, rows)
+    losses, delta, partition, target, a = _grid_forward(spec, thetas, rows, loss)
     delta /= partition
     delta *= rows.weights[..., None, :]
     delta -= target  # (M, K', C, n): weighted softmax minus one-hot
@@ -203,33 +208,45 @@ def grid_predict(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:
 BLOCK_ENTRIES = 2**14
 
 
-def _blocks(spec: ModelSpec, rows: ClientRows, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _blocks(spec: ModelSpec, rows: ClientRows, k: int, batch_size: int | None = None,
+            epochs: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
     """Blocks of clients and their split sizes, largest first: a block pads
     little, and its clients with batches left lead it.  For a grid of K' = k
     models a block takes as many clients as BLOCK_ENTRIES allows at its
-    largest split, and at least one."""
+    largest split n, and at least one.
+
+    A block whose n exceeds batch_size trains on mini-batches: it also holds
+    its E epochs' row orders, k * E entries per row, and an epoch of gathered
+    batches, k * (p + 1) per row over ceil(n / batch_size) batches."""
     counts = rows.counts
     by_size = np.argsort(-counts, kind="stable")
     per_row = max(k * max(spec.classes, spec.hidden_dim), spec.input_dim + 1)
+    batched = k * max(spec.input_dim + 1, epochs)
     blocks, start = [], 0
     while start < len(by_size):
-        ids = by_size[start : start + max(1, BLOCK_ENTRIES // (counts[by_size[start]] * per_row))]
+        n = counts[by_size[start]]
+        entries = n * per_row
+        if batch_size is not None and batch_size < n:
+            entries = max(entries, -(-n // batch_size) * batch_size * batched)
+        ids = by_size[start : start + max(1, BLOCK_ENTRIES // entries)]
         blocks.append((ids, counts[ids]))
         start += len(ids)
     return blocks
 
 
-def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows) -> np.ndarray:
-    """(M, K') losses on every client's rows, block by block: models (K', d)
-    are scored on every client, a grid (M, K', d) scores models[i] on client i."""
+def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows,
+                 blocks=None) -> np.ndarray:
+    """(M, K') losses on every client's rows, block by block (by default
+    _blocks' for K'): models (K', d) are scored on every client, a grid
+    (M, K', d) scores models[i] on client i."""
     losses = np.empty((rows.x.shape[0], models.shape[-2]))
-    for ids, counts in _blocks(spec, rows, models.shape[-2]):
+    for ids, counts in blocks or _blocks(spec, rows, models.shape[-2]):
         grid = models[ids] if models.ndim == 3 else np.broadcast_to(models, (len(ids), *models.shape))
         losses[ids] = grid_loss(spec, grid, rows[ids, :, : counts[0]])
     return losses
 
 
-def init_params(spec: ModelSpec, rng: Rng) -> np.ndarray:
+def init_params(spec: ModelSpec, rng: Rng | np.random.Generator) -> np.ndarray:
     """Draw parameters uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
     if spec.kind == SOFTMAX:

@@ -116,8 +116,8 @@ class Rng:
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_WORD = 2**32
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD, _MASK = 2**32, 2**32 - 1
 
 
 def philox_keys(seed: int, paths) -> np.ndarray:
@@ -127,9 +127,10 @@ def philox_keys(seed: int, paths) -> np.ndarray:
     Row s equals SeedSequence(seed, spawn_key=paths[s]).generate_state(2,
     np.uint64).  The entropy is the seed's 32-bit words, padded with zeros to
     the pool size when a path follows, then the path entries; it is hashed into
-    a pool of 4 words, which are hashed again into the key.  Every stream hashes
-    as many words, so the hash constants advance alike and each step is one
-    uint32 array operation over all S streams.
+    a pool of 4 words, which are hashed again into the key.  The seed's words
+    fill the pool alone, so the pool is hashed once in integers; every stream
+    then hashes as many path words, so the hash constants advance alike and
+    each step is one uint32 array operation over all S streams.
     """
     if seed < 0 or seed >= 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
@@ -140,37 +141,37 @@ def philox_keys(seed: int, paths) -> np.ndarray:
         # SeedSequence would split a larger entry into several words
         raise ValueError("split path entries must lie in [0, 2**32)")
     words = [seed % _WORD, seed // _WORD] if seed >= _WORD else [seed]
-    if paths.shape[1]:
-        words += [0] * (_POOL - len(words))
-    entropy = [np.full(len(paths), w, dtype=np.uint32) for w in words]
-    entropy += list(paths.T.astype(np.uint32))
+    # a pool word with no entropy word hashes a zero, so padding is harmless
+    # without a path
+    words += [0] * (_POOL - len(words))
     const = _INIT_A
 
+    # each works on an int or a uint32 array alike
     def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A % _WORD
-        value = value * np.uint32(const)
+        value = value ^ const
+        const = const * _MULT_A & _MASK
+        value = value * const & _MASK
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = _MIX_L * x - _MIX_R * y
+        result = (_MIX_L * x - _MIX_R * y) & _MASK
         return result ^ (result >> 16)
 
-    zero = np.zeros(len(paths), dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    pool = [hashmix(word) for word in words]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
+    pool = [np.full(len(paths), word, dtype=np.uint32) for word in pool]
+    for word in paths.T.astype(np.uint32):
         for dst in range(_POOL):
             pool[dst] = mix(pool[dst], hashmix(word))
     out, const = [], _INIT_B
     for word in pool:
-        word = word ^ np.uint32(const)
-        const = const * _MULT_B % _WORD
-        word = word * np.uint32(const)
+        word = word ^ const
+        const = const * _MULT_B & _MASK
+        word = word * const & _MASK
         out.append((word ^ (word >> 16)).astype(np.uint64))
     # little-endian pairs of 32-bit words make each 64-bit key word
     return np.stack([out[0] | out[1] << np.uint64(32), out[2] | out[3] << np.uint64(32)], axis=1)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import subprocess
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from fedfew import cli, model
 from fedfew.cli import (
     FLOAT,
     KEYS,
+    _read_pairs,
     canonical_text,
     config_from_pairs,
     main,
@@ -26,6 +28,9 @@ from fedfew.federation import ExperimentConfig, ModelConfig
 from fedfew.numerics import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
+# the benchmark's three mini-batch MLP baselines
+MINI_BATCH_MLP = {"model.kind": "mlp-1hidden", "batch_size": "8", "E": "2", "T": "40"}
 
 BASE = """\
 method=fedfew
@@ -292,6 +297,70 @@ class TestStackOnce:
         problem, _ = cli.build_problem(cfg)
         assert len(problem) == 1200
         assert len(constructions) <= 10
+
+    @pytest.mark.parametrize("method", ["fedavg", "ifca", "local"])
+    def test_mini_batch_run_keys_its_batch_streams_per_run(self, monkeypatch, method):
+        """A baseline run of 40 mini-batch rounds costs no Rng per task and
+        round: one per task would make 480 of them."""
+        constructions = []
+        init = Rng.__init__
+
+        def counted_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            constructions.append(self.path)
+
+        monkeypatch.setattr(Rng, "__init__", counted_init)
+        pairs = {**_read_pairs(CONFIGS / "group_recovery.cfg"), **MINI_BATCH_MLP,
+                 "method": method, "K": "1" if method in ("fedavg", "local") else "3"}
+        cfg = config_from_pairs(pairs)
+        assert (cfg.clients, cfg.rounds) == (12, 40)
+        problem, spec = cli.build_problem(cfg)
+        cli.RUNNERS[method](cfg, problem, spec)
+        assert len(constructions) <= 10
+
+
+@pytest.fixture(scope="module")
+def large_csv(tmp_path_factory):
+    """scripts/make_csv_dataset.py's CSV at 1,500 rows per class."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_csv_dataset.py"), str(path),
+                    "--per-class", "1500"], check=True, capture_output=True)
+    return path
+
+
+class TestPinnedRunBytes:
+    """Mini-batch runs' output files, byte for byte: any change to a batch
+    stream, its draw order, the batch schedule or the blocks' arithmetic
+    changes these digests."""
+
+    @pytest.mark.parametrize("config, pairs, digests", [
+        ("group_recovery.cfg", dict(MINI_BATCH_MLP, method="fedavg", K="1"),
+         ("b87b8d2c5f51cab81b7fe6ad22435be219e8c658862842661a2e94ebd1edaab4",
+          "a4be9f7bf77abc8730696a1b642d2edb4079b9dac1a75b5446d38a55e15eb29d",
+          "1c477a9d3594137ddd425402f01f9444b6c820d232d1277b96dbacb6859d125d")),
+        ("group_recovery.cfg", dict(MINI_BATCH_MLP, method="ifca"),
+         ("cad14517d42828c2ae9bebaa2f72dccad5d490551ba53fe98e792b4f25981c6c",
+          "e05599506d7fbb1ae9175bf0e1bb49b7bd74a2bec66593d70d5c1840dea26cb2",
+          "cda847d5044bcda7837a6f4b8ba8b1887bdc9effd28a7775904f9d73e5b5a91e")),
+        ("group_recovery.cfg", dict(MINI_BATCH_MLP, method="local", K="1"),
+         ("8ddca00f32668a8a6c5d40d3afa42e141968dd8d1d0671a4dbaa1d16baf7239c",
+          "fbd409319ee9e40137a1e54f84a84bc41754ae7111848c2cb31c113751f43c1d",
+          "2c301620ac8ed70e47044766f874c5e6eee9b6838c8f5daa46d6f6e0a7cb7171")),
+        # 400 clients of unequal size: padded blocks, and clients whose whole
+        # split is one batch next to clients that shuffle
+        ("dirichlet_csv.cfg", {"M": "400", "batch_size": "8", "E": "2", "T": "5"},
+         ("db82d9d1ee0c2f7949c0d25f8468bf4781ae859cf304192b4fc3016942b202e6",
+          "ff9ee8c7d3375b3d7fef8a3328c4ba916258a493c6f914459356988046f122cb",
+          "d65832452ce3c51a8542f2d79f926eba8901f09c4a2273d0e1a07b7b3df3f2de")),
+    ], ids=["fedavg", "ifca", "local", "dirichlet-400"])
+    def test_outputs_match_their_digests(self, tmp_path, large_csv, config, pairs, digests):
+        values = {**_read_pairs(CONFIGS / config), **pairs}
+        if values.get("dataset") == "csv":
+            values["csv.path"] = str(large_csv)
+        run_experiment(config_from_pairs(values), tmp_path / "out")
+        files = ("trace.csv", "clients.csv", "summary.csv")
+        assert tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+                     for f in files) == digests
 
 
 class TestRunAblation:

@@ -27,6 +27,7 @@ from fedfew.federation import (
     run_ifca,
     run_local,
     select_models,
+    training_blocks,
 )
 from fedfew.metrics import accuracy
 from fedfew.model import ModelSpec, init_params, stack_rows
@@ -61,9 +62,9 @@ def record_ifca_choices(monkeypatch) -> list:
     """Each round's (M,) model choice, as run_ifca hands it to _local_round."""
     choices = []
 
-    def recording(cfg, spec, rows, grid, t, streams, models):
+    def recording(plan, rows, grid, t, streams, models):
         choices.append(models[:, 0].copy())
-        return local_round(cfg, spec, rows, grid, t, streams, models)
+        return local_round(plan, rows, grid, t, streams, models)
 
     local_round = federation._local_round
     monkeypatch.setattr(federation, "_local_round", recording)
@@ -81,8 +82,10 @@ def small_cfg(method="fedfew", K=2, rounds=4, seed=3, **data_kw):
 def client_round(client, theta, epochs, batch_size, eta, rng):
     """One client's local round: local_training on a grid of one pair, whose
     batches all come from rng.  Returns the uploaded gradient and the loss."""
-    _, losses, grads = local_training(SPEC, train_rows(client), theta[None, None], epochs,
-                                      batch_size, eta, lambda i, k: rng)
+    rows = train_rows(client)
+    _, losses, grads = local_training(SPEC, rows, theta[None, None],
+                                      training_blocks(SPEC, rows, 1, batch_size, epochs),
+                                      epochs, eta, lambda i, k: rng)
     return grads[0, 0], float(losses[0, 0])
 
 
@@ -457,6 +460,26 @@ def loop_fedfew(cfg, clients, spec, gradient_mode):
     return thetas, values
 
 
+def check_ifca_against_task_loop(monkeypatch, cfg, spec):
+    """ifca on uneven_clients(), its choices and final models, against the task loop."""
+    clients = uneven_clients()
+    choices = record_ifca_choices(monkeypatch)
+    models, _ = run_ifca(cfg, stacked(clients, spec), spec)
+    sizes = np.array([c.train.n for c in clients], float)
+    thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(cfg.models)])
+    for t in range(1, cfg.rounds + 1):
+        choice = np.array([np.argmin([loss(spec, th, c.train.features, c.train.labels)
+                                      for th in thetas]) for c in clients])
+        np.testing.assert_array_equal(choices[t - 1], choice)
+        local = np.stack([loop_local(spec, c.train, thetas[choice[i]], cfg, t, i, choice[i])
+                          for i, c in enumerate(clients)])
+        for k in range(cfg.models):
+            members = choice == k
+            if members.any():
+                thetas[k] = (sizes[members] / sizes[members].sum()) @ local[members]
+    np.testing.assert_allclose(models, thetas, rtol=1e-10)
+
+
 def check_blocks_of_three_and_one(monkeypatch, spec, batch_size):
     """fedfew on uneven_clients() in blocks of the largest three (29, 23 and 16
     train rows, padded to 29) and the smallest (4 rows), against the task loop."""
@@ -492,22 +515,31 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
     def test_ifca_matches_task_loop(self, spec, monkeypatch):
-        cfg, clients = engine_cfg("ifca", 2), uneven_clients()
-        choices = record_ifca_choices(monkeypatch)
-        models, _ = run_ifca(cfg, stacked(clients, spec), spec)
-        sizes = np.array([c.train.n for c in clients], float)
-        thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(2)])
-        for t in range(1, cfg.rounds + 1):
-            choice = np.array([np.argmin([loss(spec, th, c.train.features, c.train.labels)
-                                          for th in thetas]) for c in clients])
-            np.testing.assert_array_equal(choices[t - 1], choice)
-            local = np.stack([loop_local(spec, c.train, thetas[choice[i]], cfg, t, i, choice[i])
-                              for i, c in enumerate(clients)])
-            for k in range(2):
-                members = choice == k
-                if members.any():
-                    thetas[k] = (sizes[members] / sizes[members].sum()) @ local[members]
-        np.testing.assert_allclose(models, thetas, rtol=1e-10)
+        check_ifca_against_task_loop(monkeypatch, engine_cfg("ifca", 2), spec)
+
+    @pytest.mark.parametrize("rounds_per_pass, passes", [(1, [[1], [2], [3]]), (2, [[1, 2], [3]])])
+    @pytest.mark.parametrize("method", ["fedfew", "ifca"])
+    def test_key_passes_of_few_rounds_match_task_loop(self, monkeypatch, method,
+                                                      rounds_per_pass, passes):
+        # M * K paths key one round of streams; the last pass may be short
+        cfg = engine_cfg(method, 2)
+        monkeypatch.setattr(federation, "BLOCK_ENTRIES", rounds_per_pass * cfg.clients * cfg.models)
+        keyed, streams = [], federation.Streams
+
+        def recording(seed, paths):
+            if paths[0][0] == STREAM_BATCH:
+                keyed.append(sorted(set(paths[:, 1].tolist())))
+            return streams(seed, paths)
+
+        monkeypatch.setattr(federation, "Streams", recording)
+        if method == "ifca":
+            check_ifca_against_task_loop(monkeypatch, cfg, MLP_SPEC)
+        else:
+            clients = uneven_clients()
+            models, _ = run_fedfew(cfg, stacked(clients, MLP_SPEC), MLP_SPEC)
+            np.testing.assert_allclose(models, loop_fedfew(cfg, clients, MLP_SPEC, "lookahead")[0],
+                                       rtol=1e-10)
+        assert keyed == passes
 
     @pytest.mark.parametrize("spec", [SPEC, MLP_SPEC], ids=["softmax", "mlp"])
     def test_local_matches_task_loop(self, spec):
@@ -519,10 +551,12 @@ class TestBatchedEngine:
                       for i, c in enumerate(clients)]
         np.testing.assert_allclose(models, np.stack(thetas), rtol=1e-10)
 
-    def test_non_finite_round_names_round_client_and_model(self):
-        cfg = replace(engine_cfg("fedfew", 2), learning_rate=1e200)
+    @pytest.mark.parametrize("method, K", [("fedfew", 2), ("fedavg", 1), ("ifca", 2)])
+    def test_non_finite_round_names_round_client_and_model(self, method, K):
+        # fedavg and ifca keep the local parameters, and compute no gradient
+        cfg = replace(engine_cfg(method, K), learning_rate=1e200)
         with pytest.raises(FloatingPointError, match=r"round 1: client \d+, model \d+"):
-            run_fedfew(cfg, stacked(uneven_clients(), MLP_SPEC), MLP_SPEC)
+            federation.RUNNERS[method](cfg, stacked(uneven_clients(), MLP_SPEC), MLP_SPEC)
 
     def test_local_non_finite_names_the_clients_own_model(self):
         cfg = replace(engine_cfg("local", 1), learning_rate=1e200)
