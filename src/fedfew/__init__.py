@@ -8,7 +8,7 @@ bounds and qualitative behavior.
 """
 
 from .errors import ConfigError
-from .numerics import Rng, log_sum_exp, smooth_min, softmin_weights
+from .numerics import log_sum_exp, smooth_min, softmin_weights
 from .model import ModelSpec, init_params
 from .data import (
     ClientDataset,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import BLOCK_ENTRIES, ClientRows, ModelSpec, stack_rows
-from .numerics import Rng, Streams
+from .numerics import STREAM_DATA, STREAM_SPLIT, Streams
 
 
 @dataclass
@@ -157,14 +157,15 @@ def _circle_means(count: int, input_dim: int, separation: float) -> np.ndarray:
     return means
 
 
-def gen_mixture(data: DataConfig, M: int, rng: Rng,
+def gen_mixture(data: DataConfig, M: int, seed: int,
                 validation_fraction: float = 0.2) -> Problem:
     """Sample M grouped clients; clients within a group are i.i.d. draws.
 
-    Client i orders its labels and draws its noise from stream rng.split(i, 0),
-    splits its rows with rng.split(i, 1) and draws its test rows, likewise,
-    from rng.split(i, 2).  The 3M streams are keyed in one pass; only their
-    draws run client by client, the rest over chunks of clients.
+    Client i orders its labels and draws its noise from stream
+    (STREAM_DATA, i, 0), splits its rows with (STREAM_DATA, i, 1) and draws its
+    test rows, likewise, from (STREAM_DATA, i, 2).  The 3M streams are keyed in
+    one pass; only their draws run client by client, the rest over chunks of
+    clients.
     """
     G = data.groups
     sizes = data.clients_per_group or [M // G + (g < M % G) for g in range(G)]
@@ -201,10 +202,9 @@ def gen_mixture(data: DataConfig, M: int, rng: Rng,
     # each client overwrites all of x but the bias column of ones
     stacks = [ClientRows(np.ones((M, 1, k, p + 1)), np.zeros((M, 1, k), dtype=np.int64),
                          np.full((M, 1, k), 1.0 / k)) for k in (n - v, v, n)]
-    prefix = np.array(rng.path, dtype=np.int64)
-    paths = np.column_stack([np.broadcast_to(prefix, (3 * M, prefix.size)),
-                             np.arange(3 * M) // 3, np.arange(3 * M) % 3])
-    streams = Streams(rng.seed, paths)  # stream 3i + j is rng.split(i, j)
+    paths = np.column_stack([np.full(3 * M, STREAM_DATA), np.arange(3 * M) // 3,
+                             np.arange(3 * M) % 3])
+    streams = Streams(seed, paths)  # stream 3i + j is (STREAM_DATA, i, j)
 
     def sample(group, order, noise):
         """Features means[group, labels] + noise_std * noise of labels base[order]."""
@@ -247,18 +247,16 @@ def gen_mixture(data: DataConfig, M: int, rng: Rng,
     return Problem(*stacks, classes=C, groups=groups)
 
 
-_SPLIT_STREAM = 0xFFFF  # finalize-stream id, distinct from client ids
-
-
 def _finalize_clients(
     base: Dataset,
     assignment: list[list[int]],
-    rng: Rng,
+    seed: int,
     validation_fraction: float,
 ) -> list[ClientDataset]:
     """Client i keeps base's rows assignment[i], in increasing order, split
-    with rng.split(i).  First, single rows move from the largest client to the
-    smallest until every client has at least 2."""
+    with stream (STREAM_DATA, STREAM_SPLIT, i); the M streams are keyed in one
+    pass.  First, single rows move from the largest client to the smallest
+    until every client has at least 2."""
     sizes = [len(a) for a in assignment]
     while min(sizes) < 2:
         donor, needy = int(np.argmax(sizes)), int(np.argmin(sizes))
@@ -267,18 +265,20 @@ def _finalize_clients(
         assignment[needy].append(assignment[donor].pop())
         sizes[donor] -= 1
         sizes[needy] += 1
+    streams = Streams(seed, [(STREAM_DATA, STREAM_SPLIT, i) for i in range(len(assignment))])
     clients = []
     for i, idx in enumerate(assignment):
         rows = np.sort(idx)
-        train, val = split_indices(base.labels[rows], validation_fraction, rng.split(i))
+        train, val = split_indices(base.labels[rows], validation_fraction, streams[i])
         clients.append(ClientDataset(base.subset(rows[train]), base.subset(rows[val])))
     return clients
 
 
 def dirichlet_partition(
-    base: Dataset, alpha: float, M: int, rng: Rng, validation_fraction: float = 0.2
+    base: Dataset, alpha: float, M: int, seed: int, validation_fraction: float = 0.2
 ) -> list[ClientDataset]:
-    """Per-class Dirichlet(alpha) split of a base dataset over M clients."""
+    """Per-class Dirichlet(alpha) split of a base dataset over M clients, drawn
+    from stream (STREAM_DATA,)."""
     if alpha <= 0:
         raise ConfigError(f"dirichlet.alpha must be positive, got {alpha:g}")
     if M < 1:
@@ -286,6 +286,7 @@ def dirichlet_partition(
     if base.n < M * base.class_count:
         raise ConfigError(f"M={M} clients need at least M * classes = {M * base.class_count} "
                           f"rows, the dataset has {base.n}")
+    rng = Streams(seed, [(STREAM_DATA,)])[0]
     assignment: list[list[int]] = [[] for _ in range(M)]
     for c in range(base.class_count):
         idx = np.flatnonzero(base.labels == c)
@@ -296,19 +297,21 @@ def dirichlet_partition(
         cuts = np.floor(np.cumsum(proportions) * idx.size).astype(int)[:-1]
         for client, part in enumerate(np.split(idx, cuts)):
             assignment[client].extend(part.tolist())
-    return _finalize_clients(base, assignment, rng.split(_SPLIT_STREAM), validation_fraction)
+    return _finalize_clients(base, assignment, seed, validation_fraction)
 
 
 def pathological_partition(
-    base: Dataset, classes_per_client: int, M: int, rng: Rng, validation_fraction: float = 0.2
+    base: Dataset, classes_per_client: int, M: int, seed: int, validation_fraction: float = 0.2
 ) -> list[ClientDataset]:
-    """Give each client shards from exactly classes_per_client classes."""
+    """Give each client shards from exactly classes_per_client classes, drawn
+    from stream (STREAM_DATA,)."""
     C = base.class_count
     if classes_per_client < 1 or classes_per_client >= C:
         raise ConfigError(f"pathological.classes_per_client must lie in [1, {C}), got "
                           f"{classes_per_client}")
     if classes_per_client * M < C:
         raise ConfigError(f"pathological.classes_per_client * M must cover all {C} classes")
+    rng = Streams(seed, [(STREAM_DATA,)])[0]
     order = rng.permutation(C)
     # client i wants classes order[(i * classes_per_client + j) % C], j < classes_per_client
     wanted = order[np.arange(M * classes_per_client).reshape(M, -1) % C]
@@ -322,7 +325,7 @@ def pathological_partition(
         idx = idx[rng.permutation(idx.size)]
         for client, shard in zip(takers, np.array_split(idx, takers.size)):
             assignment[client].extend(shard.tolist())
-    return _finalize_clients(base, assignment, rng.split(_SPLIT_STREAM), validation_fraction)
+    return _finalize_clients(base, assignment, seed, validation_fraction)
 
 
 def _split_rule(counts: np.ndarray, fraction: float) -> tuple[int, np.ndarray | None]:
@@ -358,7 +361,8 @@ def _split_rule(counts: np.ndarray, fraction: float) -> tuple[int, np.ndarray | 
     return int(take.sum()), take
 
 
-def split_indices(labels: np.ndarray, fraction: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(labels: np.ndarray, fraction: float,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint train and validation row indices, each in increasing order,
     sized by _split_rule.  A stratified split draws one permutation per
     present class, in class order, and class c's validation rows are the

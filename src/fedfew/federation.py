@@ -10,8 +10,8 @@ One communication round of fedfew:
      pre-update parameters.
 
 Full participation every round.  All randomness flows from the experiment
-seed through named substreams (data, init, per-round batching), so the final
-models are a pure function of the configuration.
+seed through the named streams that numerics lists (data, init, per-round
+batching), so the final models are a pure function of the configuration.
 
 Every method trains all client-model pairs of an (M, K') grid of parameter
 vectors at once (local_training): fedfew broadcasts its K models, fedavg its
@@ -38,13 +38,8 @@ from .errors import ConfigError
 from .metrics import weight_diagnostics
 from .model import (BLOCK_ENTRIES, MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses,
                     grid_loss, grid_loss_and_grad, init_params, softmax_hessian)
-from .numerics import Rng, Streams
+from .numerics import STREAM_BATCH, STREAM_INIT, Streams
 from .scalarization import aggregate_gradients, compute_weights
-
-# named substreams of the experiment seed
-STREAM_DATA = 0
-STREAM_INIT = 1
-STREAM_BATCH = 2
 
 
 @dataclass
@@ -109,20 +104,22 @@ class OptimumResult:
 
 def build_problem(cfg: ExperimentConfig) -> tuple[Problem, ModelSpec]:
     """Materialize the stacked clients and the model spec from the configuration."""
-    data_rng = Rng(cfg.seed).split(STREAM_DATA)
     dc = cfg.data
     if dc.dataset == "mixture":
-        problem = gen_mixture(dc, cfg.clients, data_rng, cfg.validation_fraction)
+        problem = gen_mixture(dc, cfg.clients, cfg.seed, cfg.validation_fraction)
         p, C = dc.input_dim, dc.classes
     else:
-        base = load_csv(dc.csv_path)
+        try:
+            base = load_csv(dc.csv_path)
+        except OSError as exc:
+            raise ConfigError(f"csv.path: cannot read {dc.csv_path}: {exc.strerror}") from exc
         if dc.partition == "dirichlet":
             clients = dirichlet_partition(
-                base, dc.dirichlet_alpha, cfg.clients, data_rng, cfg.validation_fraction
+                base, dc.dirichlet_alpha, cfg.clients, cfg.seed, cfg.validation_fraction
             )
         else:
             clients = pathological_partition(
-                base, dc.classes_per_client, cfg.clients, data_rng, cfg.validation_fraction
+                base, dc.classes_per_client, cfg.clients, cfg.seed, cfg.validation_fraction
             )
         p, C = base.input_dim, base.class_count
     model_spec = ModelSpec(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import Rng
 
 SOFTMAX = "softmax-regression"
 MLP = "mlp-1hidden"
@@ -246,7 +245,7 @@ def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows,
     return losses
 
 
-def init_params(spec: ModelSpec, rng: Rng | np.random.Generator) -> np.ndarray:
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw parameters uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
     if spec.kind == SOFTMAX:

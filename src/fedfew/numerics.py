@@ -8,6 +8,18 @@ public smoothing operations satisfy, for any finite vector ``y`` of length
     max(y) <= log_sum_exp(y, mu) <= max(y) + mu * log(n)
     min(y) - mu * log(n) <= smooth_min(y, mu) <= min(y)
     softmin_weights(y, mu) sums to 1 and is shift invariant.
+
+Every random draw of a run comes from a named stream (seed, path): the
+Philox generator of numpy's SeedSequence(seed, spawn_key=path), so a stream
+does not depend on the draws of any other.  Streams(seed, paths) keys them,
+and a single stream is Streams(seed, [path])[0].  The paths of a run:
+
+    (STREAM_DATA, i, j)            mixture client i: j = 0 its labels and
+                                   noise, 1 its split, 2 its test rows
+    (STREAM_DATA,)                 a partitioner's draws
+    (STREAM_DATA, STREAM_SPLIT, i) partitioned client i's split
+    (STREAM_INIT, k)               model k's initial parameters
+    (STREAM_BATCH, t, i, s)        round t's batches of client i, stream id s
 """
 
 from __future__ import annotations
@@ -68,47 +80,8 @@ def softmin_weights(y, mu: float) -> np.ndarray:
     return w / np.sum(w)
 
 
-class Rng:
-    """Deterministic splittable random stream.
-
-    Wraps a counter-based Philox generator keyed by an explicit seed plus a
-    split path, so each logical stream (data generation, initialization,
-    per-round batching) owns an independent substream that does not depend
-    on call order elsewhere.  Instances are single-owner: never share one
-    across concurrent tasks; hand each task its own ``split(...)``.
-    """
-
-    def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        if seed < 0 or seed >= 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
-        if any(p < 0 for p in self.path):
-            raise ValueError("split path entries must be nonnegative")
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(seq))
-
-    def split(self, *path: int) -> "Rng":
-        """Derive an independent substream; same (seed, path) -> same stream."""
-        return Rng(self.seed, self.path + path)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
-
-    def dirichlet(self, alpha):
-        return self._gen.dirichlet(alpha)
-
-    def __repr__(self) -> str:
-        return f"Rng(seed={self.seed}, path={self.path})"
+STREAM_DATA, STREAM_INIT, STREAM_BATCH = 0, 1, 2
+STREAM_SPLIT = 0xFFFF  # the partition splits, under STREAM_DATA
 
 
 # numpy's SeedSequence hash (after M. E. O'Neill's seed_seq_fe): its pool
@@ -121,7 +94,7 @@ _WORD, _MASK = 2**32, 2**32 - 1
 
 
 def philox_keys(seed: int, paths) -> np.ndarray:
-    """(S, 2) uint64 Philox keys of the streams Rng(seed, path), one per row of
+    """(S, 2) uint64 Philox keys of the streams (seed, path), one per row of
     the (S, L) paths, in one array pass.
 
     Row s equals SeedSequence(seed, spawn_key=paths[s]).generate_state(2,
@@ -178,12 +151,13 @@ def philox_keys(seed: int, paths) -> np.ndarray:
 
 
 class Streams:
-    """The streams Rng(seed, path) for each row of the (S, L) paths, keyed by
+    """The streams (seed, path) for each row of the (S, L) paths, keyed by
     one philox_keys pass and served one at a time by one shared generator.
 
     streams[s] restarts the generator on stream s, so it draws what a fresh
-    Rng(seed, paths[s]) draws; the stream served before it ends there.  It
-    costs a state switch, where each Rng costs a SeedSequence and a Philox.
+    Generator(Philox(SeedSequence(seed, spawn_key=paths[s]))) draws; the
+    stream served before it ends there.  It costs a state switch, where each
+    fresh generator costs a SeedSequence and a Philox.
     """
 
     def __init__(self, seed: int, paths):

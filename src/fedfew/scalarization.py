@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_mu, log_sum_exp, softmin_weights
+from .numerics import _check_mu
 
 
 @dataclass
@@ -65,8 +65,8 @@ def compute_weights(values, mu: float) -> ScalarizationWeights:
     """
     mu = _check_mu(mu)
     inner, w = _soft_rows(_check_values(values), mu)
-    return ScalarizationWeights(alpha=softmin_weights(-inner, mu), w=w,
-                                value=log_sum_exp(inner, mu))
+    value, alpha = _soft_rows(-inner[None], mu)  # log_sum_exp(inner) = -smooth_min(-inner)
+    return ScalarizationWeights(alpha=alpha[0], w=w, value=-float(value[0]))
 
 
 def aggregate_gradients(weights: ScalarizationWeights, grads: np.ndarray) -> np.ndarray:

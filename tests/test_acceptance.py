@@ -31,13 +31,14 @@ from fedfew.federation import (
 )
 from fedfew.metrics import accuracy, coverage_gap, jain_index, weight_diagnostics
 from fedfew.model import ModelSpec, init_params
-from fedfew.numerics import Rng, log_sum_exp, smooth_min
+from fedfew.numerics import log_sum_exp, smooth_min
 from fedfew.scalarization import (
     aggregate_gradients,
     compute_weights,
     tch_set_value,
 )
 from perpair import grad, loss
+from streams import stream
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -105,7 +106,7 @@ def test_criterion_1_gradient_consistency():
     start = time.time()
     worst = 0.0
     for seed in range(50):
-        rng = Rng(seed)
+        rng = stream(seed)
         m = 1 + int(rng.integers(1, 6)) - 1  # 1..5
         k = int(rng.integers(1, 4))
         p = int(rng.integers(2, 6))
@@ -113,11 +114,11 @@ def test_criterion_1_gradient_consistency():
         spec = ModelSpec("softmax-regression", input_dim=p, classes=classes, l2_penalty=1e-3)
         assert spec.dim <= 40
         mu = [0.01, 0.1, 1.0][seed % 3]
-        clients_x = [rng.split(10, i).normal(size=(12, p)) for i in range(m)]
-        clients_y = [rng.split(20, i).integers(0, classes, size=12) for i in range(m)]
+        clients_x = [stream(seed, 10, i).normal(size=(12, p)) for i in range(m)]
+        clients_y = [stream(seed, 20, i).integers(0, classes, size=12) for i in range(m)]
         sizes = np.array([12 + 2 * i for i in range(m)], dtype=float)
         share = sizes / sizes.sum()
-        thetas = np.stack([init_params(spec, rng.split(30, j)) for j in range(k)])
+        thetas = np.stack([init_params(spec, stream(seed, 30, j)) for j in range(k)])
 
         def weighted_losses(th):
             raw = np.array([[loss(spec, th[j], clients_x[i], clients_y[i])

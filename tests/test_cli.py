@@ -25,7 +25,7 @@ from fedfew.cli import (
 from fedfew.data import DataConfig, Dataset
 from fedfew.errors import ConfigError
 from fedfew.federation import ExperimentConfig, ModelConfig
-from fedfew.numerics import Rng
+from fedfew.numerics import Streams
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
@@ -97,6 +97,7 @@ BAD_BUILD_VALUES = [
     ({"model.l2": "-1"}, "l2_penalty"),
     ({"validation_fraction": "0"}, "validation_fraction"),
     ({"dataset": "csv", "csv.path": "{csv}", "dirichlet.alpha": "0"}, "dirichlet.alpha"),
+    ({"dataset": "csv", "csv.path": "{csv}.missing"}, "csv.path"),  # no such file
 ]
 
 
@@ -282,41 +283,50 @@ class TestStackOnce:
             assert events.count("stack_rows") == 2
 
     def test_mixture_build_keys_its_client_streams_in_one_pass(self, monkeypatch):
-        """3M client streams cost no Rng each: at M=1200 a per-client Rng
-        would make 3,602 of them."""
-        constructions = []
-        init = Rng.__init__
-
-        def counted_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            constructions.append(self.path)
-
-        monkeypatch.setattr(Rng, "__init__", counted_init)
+        """The 3M client streams are keyed by one Streams, not one each."""
+        made = count_streams(monkeypatch)
         cfg = replace(parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg"),
                       clients=1200)
         problem, _ = cli.build_problem(cfg)
         assert len(problem) == 1200
-        assert len(constructions) <= 10
+        assert made == [3 * 1200]
+
+    def test_partition_build_keys_its_split_streams_in_one_pass(self, monkeypatch, large_csv):
+        """The partition draws and the M split streams take a Streams each, not
+        one per client."""
+        made = count_streams(monkeypatch)
+        pairs = {**_read_pairs(CONFIGS / "dirichlet_csv.cfg"), "M": "400",
+                 "csv.path": str(large_csv)}
+        problem, _ = cli.build_problem(config_from_pairs(pairs))
+        assert len(problem) == 400
+        assert made == [1, 400]
 
     @pytest.mark.parametrize("method", ["fedavg", "ifca", "local"])
     def test_mini_batch_run_keys_its_batch_streams_per_run(self, monkeypatch, method):
-        """A baseline run of 40 mini-batch rounds costs no Rng per task and
-        round: one per task would make 480 of them."""
-        constructions = []
-        init = Rng.__init__
-
-        def counted_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            constructions.append(self.path)
-
-        monkeypatch.setattr(Rng, "__init__", counted_init)
+        """A baseline run of 40 mini-batch rounds takes 3 Streams: the data's 3M
+        streams, the init streams and one pass of the batch streams of every
+        round, client and stream id, not one Streams per round or per task."""
+        made = count_streams(monkeypatch)
         pairs = {**_read_pairs(CONFIGS / "group_recovery.cfg"), **MINI_BATCH_MLP,
                  "method": method, "K": "1" if method in ("fedavg", "local") else "3"}
         cfg = config_from_pairs(pairs)
         assert (cfg.clients, cfg.rounds) == (12, 40)
         problem, spec = cli.build_problem(cfg)
         cli.RUNNERS[method](cfg, problem, spec)
-        assert len(constructions) <= 10
+        inits, ids = {"fedavg": (1, 1), "ifca": (3, 3), "local": (12, 1)}[method]
+        assert made == [3 * 12, inits, 40 * 12 * ids]
+
+
+def count_streams(monkeypatch) -> list:
+    """The path counts of every Streams constructed from now on."""
+    made, init = [], Streams.__init__
+
+    def counted_init(self, seed, paths):
+        init(self, seed, paths)
+        made.append(len(self._keys))
+
+    monkeypatch.setattr(Streams, "__init__", counted_init)
+    return made
 
 
 @pytest.fixture(scope="module")
@@ -458,9 +468,12 @@ class TestMainExitCodes:
         assert not out.exists()
 
     def test_runtime_error_is_exit_three(self, tmp_path, capsys):
-        text = "method=fedfew\nM=4\nK=2\nT=3\nseed=1\ndataset=csv\ncsv.path=/nope.csv\n"
+        data = write_csv_data(tmp_path / "data.csv")
+        data.write_text(data.read_text() + "x,1.0,0\n")
+        text = f"method=fedfew\nM=4\nK=2\nT=3\nseed=1\ndataset=csv\ncsv.path={data}\n"
         path = write_cfg(tmp_path, text)
         assert main(["run", str(path), "--out", str(tmp_path / "y")]) == 3
+        assert "non-numeric feature" in capsys.readouterr().err
 
     def test_diverging_run_names_round_client_and_model(self, tmp_path, capsys):
         text = BASE.replace("learning_rate=0.5", "learning_rate=1e200") + "model.kind=mlp-1hidden\n"

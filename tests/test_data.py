@@ -24,7 +24,8 @@ from fedfew.errors import ConfigError
 from fedfew.federation import build_problem, per_client_optimum
 from fedfew.metrics import accuracy
 from fedfew.model import ModelSpec, stack_rows
-from fedfew.numerics import Rng
+from fedfew.numerics import STREAM_DATA
+from streams import stream
 
 
 def balanced_base(classes: int, per_class: int) -> Dataset:
@@ -38,9 +39,9 @@ def all_rows(client: ClientDataset) -> np.ndarray:
     return np.concatenate([client.train.features[:, 0], client.validation.features[:, 0]])
 
 
-def client_by_client(data: DataConfig, M: int, rng: Rng, fraction: float):
-    """gen_mixture's clients drawn the simple way: one Rng per stream, and
-    split_indices on each client.  Yields (train, validation, test, group)
+def client_by_client(data: DataConfig, M: int, seed: int, fraction: float):
+    """gen_mixture's clients drawn the simple way: one generator per stream,
+    and split_indices on each client.  Yields (train, validation, test, group)
     of (features, labels) pairs."""
     G, C, p, n = data.groups, data.classes, data.input_dim, data.samples_per_client
     sizes = data.clients_per_group or [M // G + (g < M % G) for g in range(G)]
@@ -55,17 +56,18 @@ def client_by_client(data: DataConfig, M: int, rng: Rng, fraction: float):
         return means[group, labels] + data.noise_std * stream.normal(size=(n, p)), labels
 
     for i, group in enumerate(np.repeat(np.arange(G), sizes).tolist()):
-        x, y = draw(group, rng.split(i, 0))
-        train, val = split_indices(y, fraction, rng.split(i, 1))
-        yield (x[train], y[train]), (x[val], y[val]), draw(group, rng.split(i, 2)), group
+        x, y = draw(group, stream(seed, STREAM_DATA, i, 0))
+        train, val = split_indices(y, fraction, stream(seed, STREAM_DATA, i, 1))
+        test = draw(group, stream(seed, STREAM_DATA, i, 2))
+        yield (x[train], y[train]), (x[val], y[val]), test, group
 
 
 class TestGenMixture:
     def test_deterministic(self):
         data = DataConfig(groups=2, clients_per_group=[2, 3], input_dim=3,
                           classes=2, samples_per_client=40)
-        a = gen_mixture(data, 5, Rng(5))
-        b = gen_mixture(data, 5, Rng(5))
+        a = gen_mixture(data, 5, 5)
+        b = gen_mixture(data, 5, 5)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.train.features, cb.train.features)
             np.testing.assert_array_equal(ca.test.features, cb.test.features)
@@ -74,7 +76,7 @@ class TestGenMixture:
     def test_client_counts_and_groups(self):
         data = DataConfig(groups=3, clients_per_group=[2, 1, 2],
                           input_dim=2, classes=3, samples_per_client=30)
-        clients = gen_mixture(data, 5, Rng(0))
+        clients = gen_mixture(data, 5, 0)
         assert [c.group for c in clients] == [0, 0, 1, 2, 2]
         for c in clients:
             assert c.train.n + c.validation.n == 30
@@ -84,7 +86,7 @@ class TestGenMixture:
         data = DataConfig(groups=1, clients_per_group=[3], input_dim=3, classes=2,
                           separation=2.0, noise_std=0.1, samples_per_client=80)
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
-        train = gen_mixture(data, 3, Rng(1)).train
+        train = gen_mixture(data, 3, 1).train
         for i in range(3):
             theta = per_client_optimum(mspec, train[i:i + 1]).theta
             assert accuracy(mspec, theta[None], train[i:i + 1])[0] >= 0.99
@@ -95,7 +97,7 @@ class TestGenMixture:
         data = DataConfig(groups=2, clients_per_group=[2, 2], input_dim=3, classes=2,
                           separation=2.0, noise_std=0.2, samples_per_client=100,
                           permute_labels=True)
-        clients = gen_mixture(data, 4, Rng(0))
+        clients = gen_mixture(data, 4, 0)
         feats = np.vstack([np.vstack([c.train.features, c.validation.features]) for c in clients])
         labels = np.concatenate([np.concatenate([c.train.labels, c.validation.labels])
                                  for c in clients])
@@ -117,7 +119,7 @@ class TestGenMixture:
 
     def test_group_counts_must_match(self):
         with pytest.raises(ConfigError, match="mixture.clients_per_group.*one count per group"):
-            gen_mixture(DataConfig(groups=2, clients_per_group=[4]), 4, Rng(0))
+            gen_mixture(DataConfig(groups=2, clients_per_group=[4]), 4, 0)
 
     @pytest.mark.parametrize("groups, per_group, M, message", [
         (2, [2, 3], 4, "sum to M=4"),
@@ -127,7 +129,7 @@ class TestGenMixture:
     def test_group_counts_must_cover_M(self, groups, per_group, M, message):
         data = DataConfig(groups=groups, clients_per_group=per_group)
         with pytest.raises(ConfigError, match=f"mixture.clients_per_group.*{message}"):
-            gen_mixture(data, M, Rng(0))
+            gen_mixture(data, M, 0)
 
     @pytest.mark.parametrize("data, M, fraction", [
         (DataConfig(groups=3, classes=3, input_dim=4, samples_per_client=60,
@@ -140,11 +142,11 @@ class TestGenMixture:
         (DataConfig(classes=7, input_dim=3, samples_per_client=5), 4, 0.2),  # absent classes
         (DataConfig(groups=2, input_dim=1, samples_per_client=40), 5, 0.01),
     ])
-    @pytest.mark.parametrize("rng", [Rng(3), Rng(2**64 - 1).split(0), Rng(5, (2**32 - 1, 8))])
-    def test_chunks_match_client_by_client_generation(self, data, M, fraction, rng):
-        problem = gen_mixture(data, M, rng, fraction)
+    @pytest.mark.parametrize("seed", [3, 2**32, 2**64 - 1])  # one and two seed words
+    def test_chunks_match_client_by_client_generation(self, data, M, fraction, seed):
+        problem = gen_mixture(data, M, seed, fraction)
         assert len(problem) == M
-        for client, expected in zip(problem, client_by_client(data, M, rng, fraction)):
+        for client, expected in zip(problem, client_by_client(data, M, seed, fraction)):
             *splits, group = expected
             assert client.group == group
             for split, (x, y) in zip((client.train, client.validation, client.test), splits):
@@ -152,7 +154,7 @@ class TestGenMixture:
                 np.testing.assert_array_equal(split.labels, y)
 
     def test_balanced_groups_when_counts_are_not_given(self):
-        clients = gen_mixture(DataConfig(groups=3, samples_per_client=10), 8, Rng(0))
+        clients = gen_mixture(DataConfig(groups=3, samples_per_client=10), 8, 0)
         assert [c.group for c in clients] == [0, 0, 0, 1, 1, 1, 2, 2]
 
     @pytest.mark.parametrize("field, value, key", [
@@ -168,21 +170,21 @@ class TestGenMixture:
 class TestDirichletPartition:
     def test_true_partition(self):
         base = balanced_base(4, 50)
-        clients = dirichlet_partition(base, 0.5, 5, Rng(3))
+        clients = dirichlet_partition(base, 0.5, 5, 3)
         seen = np.sort(np.concatenate([all_rows(c) for c in clients]))
         np.testing.assert_array_equal(seen, base.features[:, 0])
 
     def test_alpha_validation(self):
         with pytest.raises(ConfigError):
-            dirichlet_partition(balanced_base(2, 50), 0.0, 4, Rng(0))
+            dirichlet_partition(balanced_base(2, 50), 0.0, 4, 0)
         with pytest.raises(ConfigError):
-            dirichlet_partition(balanced_base(2, 50), -1.0, 4, Rng(0))
+            dirichlet_partition(balanced_base(2, 50), -1.0, 4, 0)
 
     def test_every_client_usable(self):
         # clients emptied by extreme skew are repaired to at least 2 samples
         base = balanced_base(2, 40)
         for seed in range(20):
-            clients = dirichlet_partition(base, 0.05, 8, Rng(seed))
+            clients = dirichlet_partition(base, 0.05, 8, seed)
             assert all(c.train.n >= 1 and c.validation.n >= 1 for c in clients)
 
     def test_high_alpha_concentrates(self):
@@ -190,7 +192,7 @@ class TestDirichletPartition:
         # share of every class inside 1/4 +- 20% (checked over 100 seeds)
         base = balanced_base(4, 2000)
         for seed in range(100):
-            for c in dirichlet_partition(base, 1000.0, 4, Rng(seed)):
+            for c in dirichlet_partition(base, 1000.0, 4, seed):
                 labels = np.concatenate([c.train.labels, c.validation.labels])
                 for cls in range(4):
                     share = np.sum(labels == cls) / 2000
@@ -202,7 +204,7 @@ class TestDirichletPartition:
         base = balanced_base(10, 200)
         hits = 0
         for seed in range(100):
-            for c in dirichlet_partition(base, 0.1, 10, Rng(seed)):
+            for c in dirichlet_partition(base, 0.1, 10, seed):
                 labels = np.concatenate([c.train.labels, c.validation.labels])
                 counts = np.bincount(labels, minlength=10)
                 if counts.max() / counts.sum() > 0.6:
@@ -212,8 +214,8 @@ class TestDirichletPartition:
 
     def test_deterministic(self):
         base = balanced_base(3, 30)
-        a = dirichlet_partition(base, 0.5, 4, Rng(11))
-        b = dirichlet_partition(base, 0.5, 4, Rng(11))
+        a = dirichlet_partition(base, 0.5, 4, 11)
+        b = dirichlet_partition(base, 0.5, 4, 11)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.train.features, cb.train.features)
 
@@ -221,7 +223,7 @@ class TestDirichletPartition:
 class TestPathologicalPartition:
     def test_exact_class_count_per_client(self):
         base = balanced_base(10, 30)
-        clients = pathological_partition(base, 2, 10, Rng(4))
+        clients = pathological_partition(base, 2, 10, 4)
         union = set()
         for c in clients:
             labels = set(np.concatenate([c.train.labels, c.validation.labels]).tolist())
@@ -231,21 +233,21 @@ class TestPathologicalPartition:
 
     def test_true_partition(self):
         base = balanced_base(6, 20)
-        clients = pathological_partition(base, 2, 6, Rng(9))
+        clients = pathological_partition(base, 2, 6, 9)
         seen = np.sort(np.concatenate([all_rows(c) for c in clients]))
         np.testing.assert_array_equal(seen, base.features[:, 0])
 
     def test_infeasible_counts_rejected(self):
         base = balanced_base(10, 10)
         with pytest.raises(ConfigError):
-            pathological_partition(base, 2, 4, Rng(0))  # 8 slots < 10 classes
+            pathological_partition(base, 2, 4, 0)  # 8 slots < 10 classes
         with pytest.raises(ConfigError):
-            pathological_partition(base, 10, 4, Rng(0))  # must be < class count
+            pathological_partition(base, 10, 4, 0)  # must be < class count
 
     def test_deterministic(self):
         base = balanced_base(8, 16)
-        a = pathological_partition(base, 2, 8, Rng(2))
-        b = pathological_partition(base, 2, 8, Rng(2))
+        a = pathological_partition(base, 2, 8, 2)
+        b = pathological_partition(base, 2, 8, 2)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(all_rows(ca), all_rows(cb))
 
@@ -253,36 +255,36 @@ class TestPathologicalPartition:
 class TestSplitIndices:
     def test_sizes(self):
         d = balanced_base(2, 5)  # n = 10
-        train, val = split_indices(d.labels, 0.2, Rng(0))
+        train, val = split_indices(d.labels, 0.2, stream(0))
         assert (train.size, val.size) == (8, 2)
 
     def test_stratified_proportions(self):
         labels = balanced_base(4, 25).labels  # 25 per class
-        train, val = split_indices(labels, 0.2, Rng(1))
+        train, val = split_indices(labels, 0.2, stream(1))
         for cls in range(4):
             n_val = np.sum(labels[val] == cls)
             n_train = np.sum(labels[train] == cls)
             assert abs(n_val - 0.2 * (n_val + n_train)) <= 1.0
 
     def test_disjoint_increasing_and_complete(self):
-        train, val = split_indices(balanced_base(2, 20).labels, 0.3, Rng(2))
+        train, val = split_indices(balanced_base(2, 20).labels, 0.3, stream(2))
         np.testing.assert_array_equal(np.sort(np.concatenate([train, val])), np.arange(40))
         assert np.all(np.diff(train) > 0) and np.all(np.diff(val) > 0)
 
     def test_minimum_size(self):
         with pytest.raises(ConfigError):
-            split_indices(np.zeros(1, dtype=int), 0.2, Rng(0))
+            split_indices(np.zeros(1, dtype=int), 0.2, stream(0))
         with pytest.raises(ConfigError):
-            split_indices(balanced_base(2, 5).labels, 1.0, Rng(0))
+            split_indices(balanced_base(2, 5).labels, 1.0, stream(0))
 
     def test_validation_never_empty(self):
-        _, val = split_indices(balanced_base(2, 2).labels, 0.01, Rng(0))
+        _, val = split_indices(balanced_base(2, 2).labels, 0.01, stream(0))
         assert val.size >= 1
 
     def test_a_class_at_its_cap_gives_fewer(self):
         # ceil(0.9 * 12) = 11, but each class keeps a train row: 1 + 9 = 10
         labels = np.repeat([0, 1], [2, 10])
-        train, val = split_indices(labels, 0.9, Rng(3))
+        train, val = split_indices(labels, 0.9, stream(3))
         assert np.bincount(labels[val]).tolist() == [1, 9]
         assert np.bincount(labels[train]).tolist() == [1, 1]
 
@@ -290,7 +292,7 @@ class TestSplitIndices:
         # ceil(0.9 * 106) = 96; the three classes of 2 are at their cap after
         # floor(1.8) = 1, so the class of 100 gives 90 and then three more
         labels = np.repeat([0, 1, 2, 3], [2, 2, 2, 100])
-        _, val = split_indices(labels, 0.9, Rng(4))
+        _, val = split_indices(labels, 0.9, stream(4))
         assert np.bincount(labels[val]).tolist() == [1, 1, 1, 93]
 
 

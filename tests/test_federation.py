@@ -15,7 +15,6 @@ from fedfew.cli import parse_config
 from fedfew.data import ClientDataset, Dataset, Problem
 from fedfew.errors import ConfigError
 from fedfew.federation import (
-    STREAM_BATCH,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
@@ -31,16 +30,17 @@ from fedfew.federation import (
 )
 from fedfew.metrics import accuracy
 from fedfew.model import ModelSpec, init_params, stack_rows
-from fedfew.numerics import Rng
+from fedfew.numerics import STREAM_BATCH, STREAM_INIT
 from fedfew.scalarization import aggregate_gradients, compute_weights
 from perpair import grad, loss, optimum
+from streams import stream
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-3)
 
 
 def make_client(seed=0, n=24) -> ClientDataset:
-    rng = Rng(seed)
+    rng = stream(seed)
     x = rng.normal(size=(n, 2))
     y = (x[:, 0] > 0).astype(int)
     d = Dataset(x, y, 2)
@@ -92,25 +92,25 @@ def client_round(client, theta, epochs, batch_size, eta, rng):
 class TestClientRound:
     def test_zero_learning_rate_returns_broadcast_gradient(self):
         client = make_client()
-        theta = init_params(SPEC, Rng(1))
-        g, lv = client_round(client, theta, 3, 8, 0.0, Rng(2))
+        theta = init_params(SPEC, stream(1))
+        g, lv = client_round(client, theta, 3, 8, 0.0, stream(2))
         expected = grad(SPEC, theta, client.train.features, client.train.labels)
         np.testing.assert_allclose(g, expected, atol=1e-15)
 
     def test_full_batch_single_epoch_is_one_step_lookahead(self):
         client = make_client()
-        theta = init_params(SPEC, Rng(1))
+        theta = init_params(SPEC, stream(1))
         eta = 0.3
-        g, _ = client_round(client, theta, 1, 10_000, eta, Rng(2))
+        g, _ = client_round(client, theta, 1, 10_000, eta, stream(2))
         x, y = client.train.features, client.train.labels
         lookahead = theta - eta * grad(SPEC, theta, x, y)
         np.testing.assert_allclose(g, grad(SPEC, lookahead, x, y), atol=1e-15)
 
     def test_deterministic(self):
         client = make_client()
-        theta = init_params(SPEC, Rng(1))
-        a = client_round(client, theta, 2, 4, 0.1, Rng(0).split(STREAM_BATCH, 1, 0, 0))
-        b = client_round(client, theta, 2, 4, 0.1, Rng(0).split(STREAM_BATCH, 1, 0, 0))
+        theta = init_params(SPEC, stream(1))
+        a = client_round(client, theta, 2, 4, 0.1, stream(0, STREAM_BATCH, 1, 0, 0))
+        b = client_round(client, theta, 2, 4, 0.1, stream(0, STREAM_BATCH, 1, 0, 0))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
@@ -165,10 +165,10 @@ class TestRunFedfew:
         # deviation scales like (loss spread) / mu
         clients = [make_client(seed=s, n=20 + 4 * s) for s in range(3)]
         sizes = np.array([c.train.n for c in clients], dtype=float)
-        theta = init_params(SPEC, Rng(9).split(1, 0))  # the runner's init stream
+        theta = init_params(SPEC, stream(9, STREAM_INIT, 0))  # the runner's init stream
         eta = 0.1
         lookahead_grads = np.stack([
-            client_round(c, theta, 1, 10_000, eta, Rng(0))[0] for c in clients
+            client_round(c, theta, 1, 10_000, eta, stream(0))[0] for c in clients
         ])
         weighted_mean = (sizes / sizes.sum()) @ lookahead_grads
 
@@ -178,7 +178,7 @@ class TestRunFedfew:
                                    mu=mu, model=ModelConfig(l2_penalty=1e-3),
                                    data=DataConfig())
             models, _ = run_fedfew(cfg, stacked(clients), SPEC)
-            start = init_params(SPEC, Rng(9).split(1, 0))
+            start = init_params(SPEC, stream(9, STREAM_INIT, 0))
             return (start - models[0]) / eta  # the aggregated gradient
 
         tight = 3 * fedfew_direction(1e8)
@@ -191,18 +191,18 @@ class TestRunFedfew:
 class TestSelectModels:
     def test_single_model_selects_zero(self):
         validation = stacked([make_client(seed=s) for s in range(3)]).validation
-        models = np.stack([init_params(SPEC, Rng(0))])
+        models = np.stack([init_params(SPEC, stream(0))])
         np.testing.assert_array_equal(select_models(SPEC, models, validation), 0)
 
     def test_identical_models_tie_break_lowest_index(self):
         validation = stacked([make_client(seed=s) for s in range(3)]).validation
-        theta = init_params(SPEC, Rng(0))
+        theta = init_params(SPEC, stream(0))
         np.testing.assert_array_equal(
             select_models(SPEC, np.stack([theta, theta.copy()]), validation), 0)
 
     def test_selects_least_validation_loss(self):
         clients = [make_client(seed=s) for s in range(4)]
-        models = np.stack([init_params(SPEC, Rng(s)) for s in range(3)])
+        models = np.stack([init_params(SPEC, stream(s)) for s in range(3)])
         selected = select_models(SPEC, models, stacked(clients).validation)
         losses = [[loss(SPEC, m, c.validation.features, c.validation.labels) for m in models]
                   for c in clients]
@@ -219,10 +219,10 @@ class TestRunFedavg:
                                model=ModelConfig(l2_penalty=1e-3), data=data)
         problem, spec = build_problem(cfg)
         models, _ = run_fedavg(cfg, problem, spec)
-        theta = init_params(spec, Rng(2).split(1, 0))
+        theta = init_params(spec, stream(2, STREAM_INIT, 0))
         train = problem[0].train
         for t in range(1, 7):
-            rng = Rng(2).split(STREAM_BATCH, t, 0, 0)
+            rng = stream(2, STREAM_BATCH, t, 0, 0)
             for _ in range(2):
                 order = rng.permutation(train.n)
                 for s in range(0, train.n, 8):
@@ -237,7 +237,7 @@ class TestRunFedavg:
                                local_epochs=1, batch_size=10_000, learning_rate=0.2,
                                model=ModelConfig(l2_penalty=1e-3), data=DataConfig())
         models, _ = run_fedavg(cfg, stacked(clients), SPEC)
-        theta = init_params(SPEC, Rng(6).split(1, 0))
+        theta = init_params(SPEC, stream(6, STREAM_INIT, 0))
         x, y = base.train.features, base.train.labels
         for _ in range(5):
             theta = theta - 0.2 * grad(SPEC, theta, x, y)
@@ -343,7 +343,7 @@ class TestPerClientOptimum:
         client = make_client(seed=7)
         result = per_client_optimum(SPEC, train_rows(client))
         best = loss(SPEC, result.theta, client.train.features, client.train.labels)
-        rng = Rng(11)
+        rng = stream(11)
         for _ in range(100):
             probe = rng.normal(scale=2.0, size=SPEC.dim)
             assert best <= loss(SPEC, probe, client.train.features, client.train.labels) + 1e-12
@@ -366,7 +366,7 @@ class TestPerClientOptimum:
     def test_converges_without_l2(self, n):
         # l2 = 0: the Hessian is singular, exactly so at theta = 0
         spec = ModelSpec("softmax-regression", input_dim=4, classes=2, l2_penalty=0.0)
-        rng = Rng(n)
+        rng = stream(n)
         d = Dataset(rng.normal(size=(n, 4)), np.arange(n) % 2, 2)
         result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec))
         assert np.linalg.norm(grad(spec, result.theta, d.features, d.labels)) <= 1e-6
@@ -382,7 +382,7 @@ class TestPerClientOptimum:
 
         monkeypatch.setattr(federation, "grid_loss_and_grad", counted)
         spec = ModelSpec("softmax-regression", input_dim=4, classes=3, l2_penalty=1e-6)
-        rng = Rng(132)
+        rng = stream(132)
         d = Dataset(2.5 * rng.normal(size=(17, 4)), rng.integers(0, 3, size=17), 3)
         result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec))
         trials = len(calls) - 1  # the first call scores theta = 0
@@ -426,7 +426,7 @@ def engine_cfg(method, K):
 
 def loop_local(spec, train, theta, cfg, t, i, key):
     """One task's local epochs, written out batch by batch."""
-    rng = Rng(cfg.seed).split(STREAM_BATCH, t, i, key)
+    rng = stream(cfg.seed, STREAM_BATCH, t, i, key)
     theta = theta.copy()
     b = min(cfg.batch_size, train.n)
     for _ in range(cfg.local_epochs):
@@ -442,7 +442,8 @@ def loop_fedfew(cfg, clients, spec, gradient_mode):
     sizes = np.array([c.train.n for c in clients], float)
     share = sizes / sizes.sum()
     values = []
-    thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(cfg.models)])
+    thetas = np.stack([init_params(spec, stream(cfg.seed, STREAM_INIT, k))
+                       for k in range(cfg.models)])
     for t in range(1, cfg.rounds + 1):
         losses = np.empty((len(clients), cfg.models))
         grads = np.empty((len(clients), cfg.models, spec.dim))
@@ -466,7 +467,8 @@ def check_ifca_against_task_loop(monkeypatch, cfg, spec):
     choices = record_ifca_choices(monkeypatch)
     models, _ = run_ifca(cfg, stacked(clients, spec), spec)
     sizes = np.array([c.train.n for c in clients], float)
-    thetas = np.stack([init_params(spec, Rng(cfg.seed).split(1, k)) for k in range(cfg.models)])
+    thetas = np.stack([init_params(spec, stream(cfg.seed, STREAM_INIT, k))
+                       for k in range(cfg.models)])
     for t in range(1, cfg.rounds + 1):
         choice = np.array([np.argmin([loss(spec, th, c.train.features, c.train.labels)
                                       for th in thetas]) for c in clients])
@@ -545,7 +547,7 @@ class TestBatchedEngine:
     def test_local_matches_task_loop(self, spec):
         cfg, clients = engine_cfg("local", 1), uneven_clients()
         models, _ = run_local(cfg, stacked(clients, spec), spec)
-        thetas = [init_params(spec, Rng(cfg.seed).split(1, i)) for i in range(len(clients))]
+        thetas = [init_params(spec, stream(cfg.seed, STREAM_INIT, i)) for i in range(len(clients))]
         for t in range(1, cfg.rounds + 1):
             thetas = [loop_local(spec, c.train, thetas[i], cfg, t, i, 0)
                       for i, c in enumerate(clients)]

@@ -18,8 +18,8 @@ from fedfew.metrics import (
     weight_diagnostics,
 )
 from fedfew.model import ModelSpec, init_params, stack_rows
-from fedfew.numerics import Rng
 from perpair import logits, loss
+from streams import stream
 from fedfew.scalarization import ScalarizationWeights, compute_weights
 
 SOFTMAX2 = ModelSpec("softmax-regression", input_dim=2, classes=2, l2_penalty=1e-4)
@@ -42,7 +42,7 @@ class TestAccuracy:
 
     def test_balanced_data_zero_parameters(self):
         spec = ModelSpec("softmax-regression", input_dim=2, classes=4)
-        d = Dataset(Rng(0).normal(size=(40, 2)), np.tile(np.arange(4), 10), 4)
+        d = Dataset(stream(0).normal(size=(40, 2)), np.tile(np.arange(4), 10), 4)
         assert accuracy(spec, np.zeros((1, spec.dim)), stacked(spec, d))[0] == pytest.approx(0.25)
 
     def test_padding_rows_never_count(self):
@@ -68,11 +68,10 @@ class TestAccuracy:
     def test_matches_reference_argmax_on_unequal_clients(self, kind):
         spec = ModelSpec(kind, input_dim=3, classes=4,
                          hidden_dim=5 if kind == "mlp-1hidden" else 0)
-        rng = Rng(8)
-        datasets = [Dataset(rng.split(1, i).normal(size=(n, 3)),
-                            rng.split(2, i).integers(0, 4, size=n), 4)
+        datasets = [Dataset(stream(8, 1, i).normal(size=(n, 3)),
+                            stream(8, 2, i).integers(0, 4, size=n), 4)
                     for i, n in enumerate((1, 17, 5, 40, 9))]
-        models = np.stack([init_params(spec, rng.split(3, i)) for i in range(len(datasets))])
+        models = np.stack([init_params(spec, stream(8, 3, i)) for i in range(len(datasets))])
         accs = accuracy(spec, models, stacked(spec, *datasets))
         expected = [np.mean(np.argmax(logits(spec, models[i], d.features), axis=1) == d.labels)
                     for i, d in enumerate(datasets)]
@@ -113,7 +112,7 @@ class TestJainIndex:
 def two_group_contradictory_train(n=120):
     data = DataConfig(groups=2, clients_per_group=[2, 2], input_dim=2, classes=2,
                       separation=1.5, noise_std=0.2, samples_per_client=n, permute_labels=True)
-    return gen_mixture(data, 4, Rng(3)).train
+    return gen_mixture(data, 4, 3).train
 
 
 def train_of(clients):
@@ -130,7 +129,7 @@ def unequal_clients():
     """Clients of 5, 12, 30 and 47 train rows, two groups with swapped labels."""
     clients = []
     for i, n in enumerate((5, 12, 30, 47)):
-        rng = Rng(40 + i)
+        rng = stream(40 + i)
         x = rng.normal(size=(n, 2))
         y = ((x[:, 0] > 0) ^ (i % 2)).astype(int)
         d = Dataset(x, y, 2)

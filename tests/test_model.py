@@ -19,18 +19,17 @@ from fedfew.model import (
     softmax_hessian,
     stack_rows,
 )
-from fedfew.numerics import Rng
 from perpair import finite_difference_grad, grad, logits, loss
+from streams import stream
 
 
 def random_instance(seed, kind="softmax-regression", p=3, classes=3, hidden=4, l2=1e-3):
-    rng = Rng(seed)
     spec = ModelSpec(kind, input_dim=p, classes=classes,
                      hidden_dim=hidden if kind == "mlp-1hidden" else 0, l2_penalty=l2)
-    theta = init_params(spec, rng.split(0))
+    theta = init_params(spec, stream(seed, 0))
     n = 8
-    x = rng.split(1).normal(size=(n, p))
-    y = rng.split(2).integers(0, classes, size=n)
+    x = stream(seed, 1).normal(size=(n, p))
+    y = stream(seed, 2).integers(0, classes, size=n)
     return spec, theta, x, y
 
 
@@ -46,13 +45,12 @@ def pair_grad(spec, theta, x, y) -> np.ndarray:
 
 def grid_instance(kind, seed=0, m=4, k=3):
     """Clients of 1, 6, 13 and 9 rows sharing one padded stack, k models each."""
-    rng = Rng(seed)
     spec = ModelSpec(kind, input_dim=3, classes=4,
                      hidden_dim=5 if kind == "mlp-1hidden" else 0, l2_penalty=1e-3)
     sizes = [1, 6, 13, 9][:m]
-    pairs = [(rng.split(1, i).normal(size=(n, 3)), rng.split(2, i).integers(0, 4, size=n))
+    pairs = [(stream(seed, 1, i).normal(size=(n, 3)), stream(seed, 2, i).integers(0, 4, size=n))
              for i, n in enumerate(sizes)]
-    thetas = np.stack([[init_params(spec, rng.split(3, i, j)) for j in range(k)]
+    thetas = np.stack([[init_params(spec, stream(seed, 3, i, j)) for j in range(k)]
                        for i in range(m)])
     return spec, pairs, thetas
 
@@ -72,7 +70,7 @@ class TestLoss:
     def test_zero_parameters_give_log_classes(self):
         for c in (2, 3, 7):
             spec = ModelSpec("softmax-regression", input_dim=4, classes=c, l2_penalty=0.0)
-            x = Rng(0).normal(size=(5, 4))
+            x = stream(0).normal(size=(5, 4))
             y = np.arange(5) % c
             assert pair_loss(spec, np.zeros(spec.dim), x, y) == pytest.approx(math.log(c), abs=1e-12)
 
@@ -95,7 +93,7 @@ class TestLoss:
         spec, theta, x, y = random_instance(5)
         base = pair_loss(spec, theta, x, y)
         assert base >= 0.0
-        perm = Rng(1).permutation(len(y))
+        perm = stream(1).permutation(len(y))
         assert pair_loss(spec, theta, x[perm], y[perm]) == pytest.approx(base, rel=1e-12)
 
     def test_stacking_rejects_bad_rows(self):
@@ -160,7 +158,7 @@ class TestHessian:
         for seed in range(3):
             spec, _, x, y = random_instance(seed, classes=classes, l2=l2)
             rows = stack_rows(spec, [(x, y)])
-            theta = Rng(seed).split(3).normal(size=spec.dim)
+            theta = stream(seed, 3).normal(size=spec.dim)
             h = softmax_hessian(spec, theta[None, None], rows)
             assert h.shape == (spec.dim, spec.dim)
             np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-15)
@@ -177,7 +175,7 @@ class TestHessian:
 class TestPredict:
     def test_zero_parameters_tie_break_to_class_zero(self):
         spec = ModelSpec("softmax-regression", input_dim=3, classes=4)
-        x = Rng(2).normal(size=(10, 3))
+        x = stream(2).normal(size=(10, 3))
         rows = stack_rows(spec, [(x, np.zeros(10, int))])
         np.testing.assert_array_equal(grid_predict(spec, np.zeros((1, 1, spec.dim)), rows),
                                       np.zeros((1, 1, 10), int))
@@ -241,12 +239,12 @@ class TestModelSpec:
 class TestInit:
     def test_bounds_follow_fan_in(self):
         spec = ModelSpec("softmax-regression", input_dim=8, classes=3)
-        theta = init_params(spec, Rng(0))
+        theta = init_params(spec, stream(0))
         assert np.max(np.abs(theta)) <= 1.0 / math.sqrt(9)
 
     def test_deterministic(self):
         spec = ModelSpec("mlp-1hidden", input_dim=4, classes=3, hidden_dim=5)
-        np.testing.assert_array_equal(init_params(spec, Rng(7)), init_params(spec, Rng(7)))
+        np.testing.assert_array_equal(init_params(spec, stream(7)), init_params(spec, stream(7)))
 
 
 class TestGridKernel:
@@ -269,7 +267,7 @@ class TestGridKernel:
         spec, pairs, thetas = grid_instance(kind, seed=1)
         rows = stack_rows(spec, pairs)
         counts = np.array([len(y) for _, y in pairs])
-        rng = Rng(5)
+        rng = stream(5)
         # three rows per task, drawn with repeats from the client's own rows
         idx = np.stack([[rng.integers(0, n, size=3) for _ in range(thetas.shape[1])]
                         for n in counts])

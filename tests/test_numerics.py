@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfew.numerics import Rng, Streams, log_sum_exp, philox_keys, smooth_min, softmin_weights
+from fedfew.numerics import Streams, log_sum_exp, philox_keys, smooth_min, softmin_weights
+from streams import stream
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=12
@@ -120,35 +121,6 @@ class TestSoftminWeights:
             previous = w[0]
 
 
-class TestRng:
-    def test_same_seed_same_stream(self):
-        a, b = Rng(1234), Rng(1234)
-        np.testing.assert_array_equal(a.normal(size=100), b.normal(size=100))
-        np.testing.assert_array_equal(a.permutation(50), b.permutation(50))
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(Rng(1).normal(size=20), Rng(2).normal(size=20))
-
-    def test_split_streams_are_independent_of_call_order(self):
-        root = Rng(9)
-        child_a = root.split(0)
-        _ = child_a.normal(size=10)  # consuming one stream
-        child_b = root.split(1)
-        fresh_b = Rng(9).split(1)
-        np.testing.assert_array_equal(child_b.normal(size=10), fresh_b.normal(size=10))
-
-    def test_nested_split_path(self):
-        x = Rng(3).split(2, 5, 1).uniform(size=4)
-        y = Rng(3).split(2).split(5).split(1).uniform(size=4)
-        np.testing.assert_array_equal(x, y)
-
-    def test_seed_range_validated(self):
-        with pytest.raises(ValueError):
-            Rng(-1)
-        with pytest.raises(ValueError):
-            Rng(2**64)
-
-
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
@@ -157,11 +129,6 @@ def path_rows(length: int) -> np.ndarray:
     entries = [0, 1, 7, 2**31, 2**32 - 2, 2**32 - 1]
     return np.array([[entries[(r + c) % len(entries)] for c in range(length)]
                      for r in range(len(entries))], dtype=np.int64)
-
-
-def fresh(seed, path) -> np.random.Generator:
-    """The generator inside a new Rng(seed, path)."""
-    return Rng(seed, tuple(int(p) for p in path))._gen
 
 
 class TestPhiloxKeys:
@@ -180,9 +147,14 @@ class TestPhiloxKeys:
         with pytest.raises(ValueError, match="path entries"):
             philox_keys(0, np.array([[0, 1], [bad, 2]], dtype=np.int64))
 
-    def test_entry_beyond_int64_rejected(self):
-        with pytest.raises(ValueError, match="path entries"):
-            philox_keys(0, [[2**64]])
+    @pytest.mark.parametrize("seed, entry, match", [
+        (0, 2**64, "path entries"),  # beyond int64
+        (-1, 0, "seed must be an unsigned 64-bit integer"),
+        (2**64, 0, "seed must be an unsigned 64-bit integer"),
+    ])
+    def test_seed_or_entry_beyond_its_range_rejected(self, seed, entry, match):
+        with pytest.raises(ValueError, match=match):
+            philox_keys(seed, [[entry]])
 
 
 class TestStreams:
@@ -191,7 +163,7 @@ class TestStreams:
         paths = np.vstack([path_rows(3), [[5, 0, 2], [0, 0, 0]]])
         streams = Streams(seed, paths)
         for s in [3, 0, 6, 3, 1, 5, 2, 4]:  # out of order, and one twice
-            gen, ref = streams[s], fresh(seed, paths[s])
+            gen, ref = streams[s], stream(seed, *paths[s])
             np.testing.assert_array_equal(gen.permutation(60), ref.permutation(60))
             np.testing.assert_array_equal(gen.normal(size=(7, 3)), ref.normal(size=(7, 3)))
             np.testing.assert_array_equal(gen.integers(0, 1000, size=9, dtype=np.int32),
@@ -204,11 +176,11 @@ class TestStreams:
         gen = streams[0]
         gen.random(dtype=np.float32)  # one 32-bit draw of a 64-bit word
         assert gen.bit_generator.state["has_uint32"] == 1  # its other half waits
-        gen, ref = streams[1], fresh(9, paths[1])
+        gen, ref = streams[1], stream(9, *paths[1])
         np.testing.assert_array_equal(gen.integers(0, 50, size=11, dtype=np.int32),
                                       ref.integers(0, 50, size=11, dtype=np.int32))
         np.testing.assert_array_equal(gen.normal(size=4), ref.normal(size=4))
 
     def test_empty_path_is_the_root_stream(self):
         streams = Streams(2**40, np.zeros((1, 0), dtype=np.int64))
-        np.testing.assert_array_equal(streams[0].normal(size=6), Rng(2**40).normal(size=6))
+        np.testing.assert_array_equal(streams[0].normal(size=6), stream(2**40).normal(size=6))
