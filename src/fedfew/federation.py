@@ -16,8 +16,9 @@ batching), so the final models are a pure function of the configuration.
 Every method trains all client-model pairs of an (M, K') grid of parameter
 vectors at once (local_training): fedfew broadcasts its K models, fedavg its
 one, ifca gives each client its best model and local each client its own.
-What is the same in every round of a run, the blocks of clients, their batch
-schedules and the keys of the batch streams, a RunPlan settles once.
+Everything else a run object (_Run) owns alike for all four: the problem, the
+initial models, the blocks, batch schedules and batch streams, the checked
+local round, the round's weights and its trace row.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[Problem, ModelSpec]:
             base = load_csv(dc.csv_path)
         except OSError as exc:
             raise ConfigError(f"csv.path: cannot read {dc.csv_path}: {exc.strerror}") from exc
+        except ValueError as exc:  # a malformed row, or no rows at all
+            raise ConfigError(f"csv.path: {exc}") from exc
         if dc.partition == "dirichlet":
             clients = dirichlet_partition(
                 base, dc.dirichlet_alpha, cfg.clients, cfg.seed, cfg.validation_fraction
@@ -213,105 +216,89 @@ def local_training(spec, rows, thetas, blocks, epochs, eta, batch_rng, grads=Tru
     return local, losses, gradients
 
 
-class RunPlan:
-    """A run's local training as far as every round does it alike, settled
-    before round 1 for a grid of K' models per client and S stream ids:
+class _Run:
+    """What every method's run shares, settled before round 1:
 
-    - training_blocks' blocks, split sizes and batch schedules;
-    - the batch streams (STREAM_BATCH, t, i, s) of every round t, client i and
-      stream id s, keyed a pass of max(1, BLOCK_ENTRIES // (M * S)) rounds at
-      a time and served by one numerics.Streams; a run whose every split is
-      one batch keys none;
-    - whether the final pass computes the gradient (grads) or the loss only.
+    - the problem, built and checked, its stacked train splits (rows), their
+      sizes and each client's share n_i / sum_j n_j of the train rows, the
+      sample-size weighting of every method;
+    - the count server models, model j from stream (STREAM_INIT, j);
+    - training_blocks' blocks for a grid of K' = width models per client, and
+      the batch streams (STREAM_BATCH, t, i, s) of every round t, client i and
+      stream id s < K, keyed a pass of max(1, BLOCK_ENTRIES // (M * K))
+      rounds at a time; a run whose every split is one batch keys none;
+    - the trace rows, one per round, and the current models.
 
-    It holds no rows: every round slices its blocks from the run's stack.
+    A runner then holds only its grid, its (M, K') model assignment and its
+    server step.
     """
 
-    def __init__(self, cfg: ExperimentConfig, spec: ModelSpec, rows: ClientRows, k: int,
-                 stream_ids: int, grads: bool):
-        self.cfg, self.spec, self.grads, self.stream_ids = cfg, spec, grads, stream_ids
-        self.blocks = training_blocks(spec, rows, k, cfg.batch_size, cfg.local_epochs)
+    def __init__(self, cfg: ExperimentConfig, problem: Problem | None, spec: ModelSpec | None,
+                 count: int, width: int = 1, grads: bool = False):
+        if problem is None:
+            problem, spec = build_problem(cfg)
+        if len(problem) != cfg.clients:
+            raise ConfigError(f"config says M={cfg.clients} but {len(problem)} clients were built")
+        self.cfg, self.spec, self.grads, self.rows = cfg, spec, grads, problem.train
+        self.sizes = self.rows.counts.astype(np.float64)
+        self.share = self.sizes / self.sizes.sum()
+        streams = Streams(cfg.seed, [(STREAM_INIT, j) for j in range(count)])
+        self.thetas = np.stack([init_params(spec, streams[j]) for j in range(count)])
+        self.blocks = training_blocks(spec, self.rows, width, cfg.batch_size, cfg.local_epochs)
         self.shuffles = any(schedule is not None for *_, schedule in self.blocks)
-        self.pass_rounds = max(1, BLOCK_ENTRIES // (cfg.clients * stream_ids))
+        self.pass_rounds = max(1, BLOCK_ENTRIES // (cfg.clients * cfg.models))
         self._streams, self._first = None, 0
+        self.traces: list[RoundTrace] = []
 
-    def batch_rng(self, t: int, streams: np.ndarray):
-        """Round t's batch_rng: pair (i, k) draws from stream id streams[i, k]."""
+    def _batch_rng(self, t: int, models: np.ndarray):
+        """Round t's batch_rng: pair (i, j) draws from stream id models[i, j]
+        mod K, the model it trains under fedfew and ifca, 0 under fedavg and
+        local (K = 1)."""
         if not self.shuffles:
             return None
-        M, S = self.cfg.clients, self.stream_ids
+        M, K = self.cfg.clients, self.cfg.models
         if self._streams is None or not self._first <= t < self._first + self.pass_rounds:
             rounds = np.arange(t, min(t + self.pass_rounds, self.cfg.rounds + 1))
-            r, i, s = np.meshgrid(rounds, np.arange(M), np.arange(S), indexing="ij")
+            r, i, s = np.meshgrid(rounds, np.arange(M), np.arange(K), indexing="ij")
             paths = np.stack([np.full(r.shape, STREAM_BATCH), r, i, s], axis=-1)
             self._streams, self._first = Streams(self.cfg.seed, paths.reshape(-1, 4)), t
-        base = (t - self._first) * M
+        base, ids = (t - self._first) * M, models % K
 
-        def batch_rng(i, k):
-            return self._streams[(base + i) * S + int(streams[i, k])]
+        def batch_rng(i, j):
+            return self._streams[(base + i) * K + int(ids[i, j])]
         return batch_rng
 
+    def train(self, t: int, grid: np.ndarray, models: np.ndarray):
+        """local_training of round t on the (M, K', d) grid, whose pair (i, j)
+        trains model models[i, j], checked for non-finite results: the local
+        parameters, the losses there and, with grads, the gradients there."""
+        cfg = self.cfg
+        # a diverging run overflows; the check below reports where
+        with np.errstate(over="ignore", invalid="ignore"):
+            local, losses, grads = local_training(self.spec, self.rows, grid, self.blocks,
+                                                  cfg.local_epochs, cfg.learning_rate,
+                                                  self._batch_rng(t, models), self.grads)
+        bad = ~(np.isfinite(losses) & np.isfinite(grads if self.grads else local).all(axis=2))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            what = "gradient" if self.grads else "parameters"
+            raise FloatingPointError(
+                f"round {t}: client {i}, model {int(models[i, j])}: non-finite loss or "
+                f"{what} after local training (learning_rate={cfg.learning_rate:g})")
+        return local, losses, grads
 
-def _uploads(gradient_mode, thetas, local, grads, eta):
-    """What each pair uploads.
+    def weights(self, losses: np.ndarray):
+        """The round's weights: every method is scored with the smooth
+        objective fedfew optimizes, over its share-weighted (M, K) losses."""
+        return compute_weights(losses * self.share[:, None], self.cfg.mu)
 
-    "lookahead": the full-train-set gradient at the locally updated point.
-    "delta": the accumulated local update (theta_broadcast - theta_local) / eta;
-    it coincides with the broadcast-point gradient at E=1 with a single full
-    batch, and keeps the total server movement comparable across (E, T)
-    budgets with T*E fixed.
-    """
-    return grads if gradient_mode == "lookahead" else (thetas - local) / eta
-
-
-def _local_round(plan: RunPlan, rows, grid, t: int, streams, models):
-    """local_training of round t over a grid, checked for non-finite results.
-
-    Pair (i, k) draws its batches from (STREAM_BATCH, t, i, streams[i, k]) and
-    trains model models[i, k], which the error names.
-    """
-    cfg = plan.cfg
-    # a diverging run overflows; the check below reports where
-    with np.errstate(over="ignore", invalid="ignore"):
-        local, losses, grads = local_training(plan.spec, rows, grid, plan.blocks,
-                                              cfg.local_epochs, cfg.learning_rate,
-                                              plan.batch_rng(t, streams), plan.grads)
-    bad = ~(np.isfinite(losses) & np.isfinite(grads if plan.grads else local).all(axis=2))
-    if bad.any():
-        i, k = np.argwhere(bad)[0]
-        what = "gradient" if plan.grads else "parameters"
-        raise FloatingPointError(
-            f"round {t}: client {i}, model {int(models[i, k])}: non-finite loss or "
-            f"{what} after local training (learning_rate={cfg.learning_rate:g})")
-    return local, losses, grads
-
-
-def _problem(cfg: ExperimentConfig, problem, spec
-             ) -> tuple[ModelSpec, np.ndarray, np.ndarray, ClientRows]:
-    """The spec, the train sizes, each client's share n_i / sum_j n_j of the
-    train rows (the sample-size weighting of every method) and the stacked
-    train splits of a run."""
-    if problem is None:
-        problem, spec = build_problem(cfg)
-    if len(problem) != cfg.clients:
-        raise ConfigError(f"config says M={cfg.clients} but {len(problem)} clients were built")
-    sizes = problem.train.counts.astype(np.float64)
-    return spec, sizes, sizes / sizes.sum(), problem.train
-
-
-def _trace(t, weights, grad_norms, uploads) -> RoundTrace:
-    """A round's trace; every method is scored with the smooth objective fedfew
-    optimizes, over its share-weighted losses."""
-    alpha_cv, entropy, wmax = weight_diagnostics(weights)
-    return RoundTrace(round=t, stch_value=weights.value, grad_norms=grad_norms,
-                      alpha_cv=alpha_cv, w_entropy_mean=entropy, w_max_mean=wmax,
-                      uploads=uploads)
-
-
-def _init_models(spec: ModelSpec, seed: int, count: int) -> np.ndarray:
-    """Model k from stream (STREAM_INIT, k), all keyed in one pass."""
-    streams = Streams(seed, [(STREAM_INIT, k) for k in range(count)])
-    return np.stack([init_params(spec, streams[k]) for k in range(count)])
+    def step(self, t: int, thetas: np.ndarray, weights, grad_norms, uploads: int) -> None:
+        """Round t's trace row, and the new models."""
+        alpha_cv, entropy, wmax = weight_diagnostics(weights)
+        self.traces.append(RoundTrace(round=t, stch_value=weights.value, grad_norms=grad_norms,
+                                      alpha_cv=alpha_cv, w_entropy_mean=entropy,
+                                      w_max_mean=wmax, uploads=uploads))
+        self.thetas = thetas
 
 
 def run_fedfew(
@@ -320,25 +307,28 @@ def run_fedfew(
     spec: ModelSpec | None = None,
     gradient_mode: str = "lookahead",
 ) -> tuple[np.ndarray, list[RoundTrace]]:
-    """Joint optimization of K server models via smooth set scalarization."""
+    """Joint optimization of K server models via smooth set scalarization.
+
+    A pair uploads, under "lookahead", the full-train-set gradient at its
+    locally updated point; under "delta", the accumulated local update
+    (theta_broadcast - theta_local) / eta, which coincides with the
+    broadcast-point gradient at E=1 with a single full batch and keeps the
+    total server movement comparable across (E, T) budgets with T*E fixed.
+    """
     if gradient_mode not in ("lookahead", "delta"):
         raise ConfigError(f"unknown gradient_mode {gradient_mode!r}")
-    spec, _, share, rows = _problem(cfg, problem, spec)
-    M, K = cfg.clients, cfg.models
-    thetas = _init_models(spec, cfg.seed, K)
+    M, K, eta = cfg.clients, cfg.models, cfg.learning_rate
     models = np.broadcast_to(np.arange(K), (M, K))
-    plan = RunPlan(cfg, spec, rows, K, K, grads=gradient_mode == "lookahead")
-    traces: list[RoundTrace] = []
+    run = _Run(cfg, problem, spec, K, K, grads=gradient_mode == "lookahead")
     for t in range(1, cfg.rounds + 1):
-        grid = np.broadcast_to(thetas, (M, *thetas.shape))
-        local, losses, grads = _local_round(plan, rows, grid, t, models, models)
-        uploads = _uploads(gradient_mode, grid, local, grads, cfg.learning_rate)
-        weights = compute_weights(losses * share[:, None], cfg.mu)
-        agg = aggregate_gradients(weights, uploads * share[:, None, None])
-        thetas = thetas - cfg.learning_rate * agg
+        grid = np.broadcast_to(run.thetas, (M, *run.thetas.shape))
+        local, losses, grads = run.train(t, grid, models)
+        uploads = grads if run.grads else (grid - local) / eta
+        weights = run.weights(losses)
+        agg = aggregate_gradients(weights, uploads * run.share[:, None, None])
         # uploads: one (gradient, loss) pair per client-model
-        traces.append(_trace(t, weights, np.linalg.norm(agg, axis=1), M * K))
-    return thetas, traces
+        run.step(t, run.thetas - eta * agg, weights, np.linalg.norm(agg, axis=1), M * K)
+    return run.thetas, run.traces
 
 
 def run_fedavg(
@@ -347,21 +337,17 @@ def run_fedavg(
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Single global model via sample-size-weighted parameter averaging."""
-    spec, _, share, rows = _problem(cfg, problem, spec)
-    M = cfg.clients
-    theta = _init_models(spec, cfg.seed, 1)[0]
+    M, eta = cfg.clients, cfg.learning_rate
     models = np.zeros((M, 1), dtype=np.int64)
-    plan = RunPlan(cfg, spec, rows, 1, 1, grads=False)
-    traces: list[RoundTrace] = []
+    run = _Run(cfg, problem, spec, 1)
     for t in range(1, cfg.rounds + 1):
-        grid = np.broadcast_to(theta, (M, 1, theta.size))
-        local, losses, _ = _local_round(plan, rows, grid, t, models, models)
-        new_theta = share @ local[:, 0]
-        norm = np.linalg.norm(theta - new_theta) / cfg.learning_rate
-        traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
-                             np.array([norm]), M))
-        theta = new_theta
-    return theta[None, :], traces
+        theta = run.thetas[0]
+        # a broadcast: local_training copies it client-fastest, and share @ local rounds by layout
+        local, losses, _ = run.train(t, np.broadcast_to(theta, (M, 1, theta.size)), models)
+        new_theta = run.share @ local[:, 0]
+        norm = np.linalg.norm(theta - new_theta) / eta
+        run.step(t, new_theta[None, :], run.weights(losses), np.array([norm]), M)
+    return run.thetas, run.traces
 
 
 def run_ifca(
@@ -370,27 +356,22 @@ def run_ifca(
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Hard clustering: clients train only their current best model."""
-    spec, sizes, share, rows = _problem(cfg, problem, spec)
-    M, K = cfg.clients, cfg.models
-    thetas = _init_models(spec, cfg.seed, K)
-    # a client trains the one model it chose, on the stream of that model's id
-    plan = RunPlan(cfg, spec, rows, 1, K, grads=False)
-    eval_blocks = _blocks(spec, rows, K)
-    traces: list[RoundTrace] = []
+    M, K, eta = cfg.clients, cfg.models, cfg.learning_rate
+    run = _Run(cfg, problem, spec, K)
+    eval_blocks = _blocks(run.spec, run.rows, K)
     for t in range(1, cfg.rounds + 1):
-        eval_losses = _grid_losses(spec, thetas, rows, eval_blocks)
+        thetas = run.thetas
+        eval_losses = _grid_losses(run.spec, thetas, run.rows, eval_blocks)
         choice = np.argmin(eval_losses, axis=1)[:, None]  # (M, 1)
-        local, _, _ = _local_round(plan, rows, thetas[choice], t, choice, choice)
-        mass = (choice == np.arange(K)) * sizes[:, None]  # (M, K) cluster members
+        local, _, _ = run.train(t, thetas[choice], choice)
+        mass = (choice == np.arange(K)) * run.sizes[:, None]  # (M, K) cluster members
         totals = mass.sum(axis=0)[:, None]
         # an empty cluster keeps its previous parameters
         new_thetas = np.where(totals > 0, mass.T @ local[:, 0] / np.maximum(totals, 1.0), thetas)
-        norms = np.linalg.norm(thetas - new_thetas, axis=1) / cfg.learning_rate
+        norms = np.linalg.norm(thetas - new_thetas, axis=1) / eta
         # uploads: K scalar losses plus one model per client
-        traces.append(_trace(t, compute_weights(eval_losses * share[:, None], cfg.mu), norms,
-                             M * (K + 1)))
-        thetas = new_thetas
-    return thetas, traces
+        run.step(t, new_thetas, run.weights(eval_losses), norms, M * (K + 1))
+    return run.thetas, run.traces
 
 
 def run_local(
@@ -399,21 +380,16 @@ def run_local(
     spec: ModelSpec | None = None,
 ) -> tuple[np.ndarray, list[RoundTrace]]:
     """Every client trains its own model; no communication at all."""
-    spec, _, share, rows = _problem(cfg, problem, spec)
-    M = cfg.clients
-    thetas = _init_models(spec, cfg.seed, M)  # one model per client
-    streams = np.zeros((M, 1), dtype=np.int64)
+    M, eta = cfg.clients, cfg.learning_rate
     models = np.arange(M)[:, None]  # client i trains model i
-    plan = RunPlan(cfg, spec, rows, 1, 1, grads=False)
-    traces: list[RoundTrace] = []
+    run = _Run(cfg, problem, spec, M)  # one model per client
     for t in range(1, cfg.rounds + 1):
-        local, losses, _ = _local_round(plan, rows, thetas[:, None], t, streams, models)
+        thetas = run.thetas
+        local, losses, _ = run.train(t, thetas[:, None], models)
         new_thetas = local[:, 0]
-        step_norm = float(np.mean(np.linalg.norm(thetas - new_thetas, axis=1))) / cfg.learning_rate
-        traces.append(_trace(t, compute_weights(losses * share[:, None], cfg.mu),
-                             np.array([step_norm]), 0))
-        thetas = new_thetas
-    return thetas, traces
+        step_norm = float(np.mean(np.linalg.norm(thetas - new_thetas, axis=1))) / eta
+        run.step(t, new_thetas, run.weights(losses), np.array([step_norm]), 0)
+    return run.thetas, run.traces
 
 
 # a config's method, and the runner it names

@@ -45,16 +45,22 @@ def _check_mu(mu: float) -> float:
     return mu
 
 
+def _soft_rows(values: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """smooth_min (M,) and softmin_weights (M, K) of every row of a finite
+    (M, K) matrix, shifted by its minimum."""
+    low = values.min(axis=1, keepdims=True)
+    e = np.exp(-(values - low) / mu)
+    total = e.sum(axis=1, keepdims=True)
+    return (low - mu * np.log(total))[:, 0], e / total
+
+
 def log_sum_exp(y, mu: float) -> float:
     """Smooth maximum: mu * log(sum_i exp(y_i / mu)).
 
     Shift invariant (log_sum_exp(y + c, mu) = log_sum_exp(y, mu) + c) and
     finite for all finite inputs.
     """
-    y = _as_finite_vector(y)
-    mu = _check_mu(mu)
-    shift = float(np.max(y))
-    return shift + mu * float(np.log(np.sum(np.exp((y - shift) / mu))))
+    return -smooth_min(-_as_finite_vector(y), mu)
 
 
 def smooth_min(y, mu: float) -> float:
@@ -62,8 +68,7 @@ def smooth_min(y, mu: float) -> float:
 
     Always a lower bound on min(y), and within mu * log(n) of it.
     """
-    y = _as_finite_vector(y)
-    return -log_sum_exp(-y, mu)
+    return float(_soft_rows(_as_finite_vector(y)[None], _check_mu(mu))[0][0])
 
 
 def softmin_weights(y, mu: float) -> np.ndarray:
@@ -73,11 +78,7 @@ def softmin_weights(y, mu: float) -> np.ndarray:
     one even when y spans many orders of magnitude.  Smaller y gets larger
     weight; mu -> 0 sharpens toward a one-hot vector on the argmin.
     """
-    y = _as_finite_vector(y)
-    mu = _check_mu(mu)
-    z = -(y - np.min(y)) / mu
-    w = np.exp(z)
-    return w / np.sum(w)
+    return _soft_rows(_as_finite_vector(y)[None], _check_mu(mu))[1][0]
 
 
 STREAM_DATA, STREAM_INIT, STREAM_BATCH = 0, 1, 2

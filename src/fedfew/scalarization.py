@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_mu
+from .numerics import _check_mu, _soft_rows
 
 
 @dataclass
@@ -46,14 +46,6 @@ def _check_values(values) -> np.ndarray:
 def tch_set_value(values) -> float:
     """Exact nested max-over-clients of min-over-models."""
     return float(np.max(np.min(_check_values(values), axis=1)))
-
-
-def _soft_rows(values: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """smooth_min (M,) and softmin_weights (M, K) of every row, shifted by its minimum."""
-    low = values.min(axis=1, keepdims=True)
-    e = np.exp(-(values - low) / mu)
-    total = e.sum(axis=1, keepdims=True)
-    return (low - mu * np.log(total))[:, 0], e / total
 
 
 def compute_weights(values, mu: float) -> ScalarizationWeights:

@@ -100,6 +100,16 @@ BAD_BUILD_VALUES = [
     ({"dataset": "csv", "csv.path": "{csv}.missing"}, "csv.path"),  # no such file
 ]
 
+# a csv.path file that reads but is malformed: what it holds past a valid
+# 120-row file (None: nothing at all), and the message that names the row
+MALFORMED_CSV = [
+    ("1.0,0\n", "row 121: expected 3 columns, got 2"),
+    ("x,1.0,0\n", "row 121: non-numeric feature"),
+    ("1.0,2.0,a\n", "row 121: non-integer label 'a'"),
+    ("1.0,2.0,-1\n", "row 121: negative label"),
+    (None, "empty file"),
+]
+
 
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
@@ -467,14 +477,6 @@ class TestMainExitCodes:
         assert "features contain non-finite entries" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_runtime_error_is_exit_three(self, tmp_path, capsys):
-        data = write_csv_data(tmp_path / "data.csv")
-        data.write_text(data.read_text() + "x,1.0,0\n")
-        text = f"method=fedfew\nM=4\nK=2\nT=3\nseed=1\ndataset=csv\ncsv.path={data}\n"
-        path = write_cfg(tmp_path, text)
-        assert main(["run", str(path), "--out", str(tmp_path / "y")]) == 3
-        assert "non-numeric feature" in capsys.readouterr().err
-
     def test_diverging_run_names_round_client_and_model(self, tmp_path, capsys):
         text = BASE.replace("learning_rate=0.5", "learning_rate=1e200") + "model.kind=mlp-1hidden\n"
         path = write_cfg(tmp_path, text + "ablate.K=1,2\n")
@@ -499,6 +501,23 @@ class TestMainExitCodes:
         assert main([command, str(path), "--out", str(out), *axis]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("tail, message", MALFORMED_CSV,
+                             ids=["ragged-row", "non-numeric-feature", "non-integer-label",
+                                  "negative-label", "empty-file"])
+    def test_malformed_csv_exits_two_and_writes_nothing(self, tmp_path, capsys, command, tail,
+                                                        message):
+        data = write_csv_data(tmp_path / "data.csv")
+        data.write_text("" if tail is None else data.read_text() + tail)
+        path = write_cfg(tmp_path, with_keys(BASE, dataset="csv", **{"csv.path": str(data),
+                                                                      "ablate.K": "1,2"}))
+        out = tmp_path / "bad"
+        axis = ["--axis", "K"] if command == "ablate" else []
+        assert main([command, str(path), "--out", str(out), *axis]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: csv.path: {data}: {message}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "ablate"])

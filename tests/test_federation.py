@@ -1,5 +1,6 @@
 """Protocol behavior: client rounds, the four methods, selection, optima."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -59,15 +60,15 @@ def train_rows(client, spec=SPEC):
 
 
 def record_ifca_choices(monkeypatch) -> list:
-    """Each round's (M,) model choice, as run_ifca hands it to _local_round."""
+    """Each round's (M,) model choice, as run_ifca hands it to the run's train."""
     choices = []
 
-    def recording(plan, rows, grid, t, streams, models):
+    def recording(run, t, grid, models):
         choices.append(models[:, 0].copy())
-        return local_round(plan, rows, grid, t, streams, models)
+        return train(run, t, grid, models)
 
-    local_round = federation._local_round
-    monkeypatch.setattr(federation, "_local_round", recording)
+    train = federation._Run.train
+    monkeypatch.setattr(federation._Run, "train", recording)
     return choices
 
 
@@ -148,6 +149,20 @@ class TestRunFedfew:
         monkeypatch.setattr(federation, "build_problem", never)
         with pytest.raises(ConfigError, match="unknown gradient_mode 'bogus'"):
             run_fedfew(small_cfg(), gradient_mode="bogus")
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("softmax-regression", "7b48f647e9875174bbb7979d55de3876ae64f015fb67bec5659fbdc9b6ab47ef"),
+        ("mlp-1hidden", "3b1ff719ad75b7704aa25b8e94413bcc23a9c9e584a3ba7bbe174489dce1936d"),
+    ], ids=["softmax", "mlp"])
+    def test_delta_uploads_match_their_digest(self, kind, digest):
+        # the final models and stch values of a mini-batch run, byte for byte:
+        # the task-loop tests check delta uploads only to rtol
+        cfg = parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg")
+        cfg = replace(cfg, local_epochs=2, batch_size=8, rounds=10,
+                      model=replace(cfg.model, kind=kind))
+        models, traces = run_fedfew(cfg, gradient_mode="delta")
+        values = np.array([t.stch_value for t in traces])
+        assert hashlib.sha256(models.tobytes() + values.tobytes()).hexdigest() == digest
 
     def test_trace_diagnostics_within_bounds(self):
         cfg = small_cfg(K=3)
