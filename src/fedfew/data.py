@@ -386,31 +386,35 @@ def load_csv(path) -> Dataset:
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip("\r\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise ValueError(f"{path}: row {lineno}: need at least one feature and a label")
-            elif len(parts) != width:
-                raise ValueError(f"{path}: row {lineno}: expected {width} columns, got {len(parts)}")
-            try:
-                feats = [float(v) for v in parts[:-1]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {lineno}: non-numeric feature") from exc
-            raw_label = parts[-1].strip()
-            try:
-                label = int(raw_label)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {lineno}: non-integer label {raw_label!r}") from exc
-            if label < 0:
-                raise ValueError(f"{path}: row {lineno}: negative label")
-            rows.append(feats)
-            labels.append(label)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # on \n, \r\n and \r, as text mode reads them
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: row {lineno}: not UTF-8 text") from exc
+        if not line:
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if width < 2:
+                raise ValueError(f"{path}: row {lineno}: need at least one feature and a label")
+        elif len(parts) != width:
+            raise ValueError(f"{path}: row {lineno}: expected {width} columns, got {len(parts)}")
+        try:
+            feats = [float(v) for v in parts[:-1]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: non-numeric feature") from exc
+        raw_label = parts[-1].strip()
+        try:
+            label = int(raw_label)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {lineno}: non-integer label {raw_label!r}") from exc
+        if label < 0:
+            raise ValueError(f"{path}: row {lineno}: negative label")
+        rows.append(feats)
+        labels.append(label)
     if not rows:
         raise ValueError(f"{path}: empty file")
     return Dataset(np.array(rows), np.array(labels), class_count=max(labels) + 1)

@@ -40,7 +40,7 @@ from .metrics import weight_diagnostics
 from .model import (BLOCK_ENTRIES, MLP, SOFTMAX, ClientRows, ModelSpec, _blocks, _grid_losses,
                     grid_loss, grid_loss_and_grad, init_params, softmax_hessian)
 from .numerics import STREAM_BATCH, STREAM_INIT, Streams
-from .scalarization import aggregate_gradients, compute_weights
+from .scalarization import ScalarizationWeights, aggregate_gradients, compute_weights
 
 
 @dataclass
@@ -156,21 +156,22 @@ def _batch_plan(counts: np.ndarray, batch_size: int):
 
 def training_blocks(spec, rows, k, batch_size, epochs):
     """local_training's blocks for a grid of K' = k models: the clients, their
-    split sizes and their batch schedule, None when every client's batch is its
-    whole split.  A schedule is an epoch's batches side by side: the positions
-    each client reads of its row order, and their weights, (a, 1, S * B); the
-    (S,) count of clients that have each batch; and how many clients, a
-    prefix, shuffle their rows (split larger than one batch).
+    split sizes, their rows (a view or None, see _blocks) and their batch
+    schedule, None when every client's batch is its whole split.  A schedule
+    is an epoch's batches side by side: the positions each client reads of its
+    row order, and their weights, (a, 1, S * B); the (S,) count of clients
+    that have each batch; and how many clients, a prefix, shuffle their rows
+    (split larger than one batch).
     """
     blocks = []
-    for ids, counts in _blocks(spec, rows, k, batch_size, epochs):
+    for ids, counts, part in _blocks(spec, rows, k, batch_size, epochs):
         schedule = None
         if batch_size < counts[0]:
             pos, weights, live = _batch_plan(counts, batch_size)
             flat = (len(ids), 1, -1)
             schedule = (pos.reshape(flat), weights.reshape(flat), live,
                         np.count_nonzero(counts > batch_size))
-        blocks.append((ids, counts, schedule))
+        blocks.append((ids, counts, part, schedule))
     return blocks
 
 
@@ -187,8 +188,9 @@ def local_training(spec, rows, thetas, blocks, epochs, eta, batch_rng, grads=Tru
     m, k, d = thetas.shape
     local = np.array(thetas, dtype=np.float64)
     losses, gradients = np.empty((m, k)), np.empty((m, k, d)) if grads else None
-    for ids, counts, schedule in blocks:
-        part, theta = rows[ids, :, : counts[0]], local[ids]
+    for ids, counts, part, schedule in blocks:
+        part = rows[ids, :, : counts[0]] if part is None else part
+        theta = local[ids]
         if schedule is None:  # every client's batch is its whole split
             for _ in range(epochs):
                 theta -= eta * grid_loss_and_grad(spec, theta, part, loss=False)[1]
@@ -227,7 +229,8 @@ class _Run:
       the batch streams (STREAM_BATCH, t, i, s) of every round t, client i and
       stream id s < K, keyed a pass of max(1, BLOCK_ENTRIES // (M * K))
       rounds at a time; a run whose every split is one batch keys none;
-    - the trace rows, one per round, and the current models.
+    - the trace rows, one per round, scored a pass of pass_rounds rounds at a
+      time, and the current models.
 
     A runner then holds only its grid, its (M, K') model assignment and its
     server step.
@@ -247,7 +250,7 @@ class _Run:
         self.blocks = training_blocks(spec, self.rows, width, cfg.batch_size, cfg.local_epochs)
         self.shuffles = any(schedule is not None for *_, schedule in self.blocks)
         self.pass_rounds = max(1, BLOCK_ENTRIES // (cfg.clients * cfg.models))
-        self._streams, self._first = None, 0
+        self._streams, self._first, self._pass = None, 0, []
         self.traces: list[RoundTrace] = []
 
     def _batch_rng(self, t: int, models: np.ndarray):
@@ -278,9 +281,9 @@ class _Run:
             local, losses, grads = local_training(self.spec, self.rows, grid, self.blocks,
                                                   cfg.local_epochs, cfg.learning_rate,
                                                   self._batch_rng(t, models), self.grads)
-        bad = ~(np.isfinite(losses) & np.isfinite(grads if self.grads else local).all(axis=2))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        point = grads if self.grads else local
+        if not (np.isfinite(losses).all() and np.isfinite(point).all()):
+            i, j = np.argwhere(~(np.isfinite(losses) & np.isfinite(point).all(axis=2)))[0]
             what = "gradient" if self.grads else "parameters"
             raise FloatingPointError(
                 f"round {t}: client {i}, model {int(models[i, j])}: non-finite loss or "
@@ -293,12 +296,19 @@ class _Run:
         return compute_weights(losses * self.share[:, None], self.cfg.mu)
 
     def step(self, t: int, thetas: np.ndarray, weights, grad_norms, uploads: int) -> None:
-        """Round t's trace row, and the new models."""
-        alpha_cv, entropy, wmax = weight_diagnostics(weights)
-        self.traces.append(RoundTrace(round=t, stch_value=weights.value, grad_norms=grad_norms,
-                                      alpha_cv=alpha_cv, w_entropy_mean=entropy,
-                                      w_max_mean=wmax, uploads=uploads))
+        """The new models; round t's trace row is scored with the rest of its
+        pass, a pass_rounds stack of (M, K) weights, at the pass's last round."""
         self.thetas = thetas
+        self._pass.append((t, weights, grad_norms, uploads))
+        if len(self._pass) < self.pass_rounds and t < self.cfg.rounds:
+            return
+        stacked = ScalarizationWeights(alpha=np.stack([w.alpha for _, w, _, _ in self._pass]),
+                                       w=np.stack([w.w for _, w, _, _ in self._pass]), value=0.0)
+        scores = zip(self._pass, *(v.tolist() for v in weight_diagnostics(stacked)))
+        self.traces += [RoundTrace(round=r, stch_value=w.value, grad_norms=norms, alpha_cv=cv,
+                                   w_entropy_mean=entropy, w_max_mean=wmax, uploads=count)
+                        for (r, w, norms, count), cv, entropy, wmax in scores]
+        self._pass = []
 
 
 def run_fedfew(

@@ -29,8 +29,8 @@ def accuracy(spec: ModelSpec, models, rows: ClientRows) -> np.ndarray:
     """(M,) fraction of client i's rows, of a stacked split, where the argmax
     prediction of models[i] (M, d) equals the label."""
     correct = np.empty(rows.x.shape[0], dtype=np.int64)
-    for ids, counts in _blocks(spec, rows, 1):
-        part = rows[ids, :, : counts[0]]
+    for ids, counts, part in _blocks(spec, rows, 1):
+        part = rows[ids, :, : counts[0]] if part is None else part
         hits = (grid_predict(spec, models[ids, None], part) == part.labels) & (part.weights > 0)
         correct[ids] = np.count_nonzero(hits[:, 0], axis=1)
     return correct / rows.counts
@@ -86,14 +86,14 @@ def coverage_gap(
     return gaps, float(np.mean(gaps))
 
 
-def weight_diagnostics(weights: ScalarizationWeights) -> tuple[float, float, float]:
+def weight_diagnostics(weights: ScalarizationWeights) -> tuple:
     """(alpha coefficient of variation, mean row entropy of w, mean row max).
 
     Entropy uses the natural log, so a uniform row over K models scores
-    log K and a one-hot row scores 0.
+    log K and a one-hot row scores 0.  Weights with a leading round axis,
+    alpha (R, M) and w (R, M, K), score each round alike: three (R,) arrays.
     """
-    alpha = weights.alpha
-    alpha_cv = float(np.std(alpha) / np.mean(alpha))
-    w = np.clip(weights.w, 1e-300, None)
-    entropy = -np.sum(weights.w * np.log(w), axis=1)
-    return alpha_cv, float(np.mean(entropy)), float(np.mean(np.max(weights.w, axis=1)))
+    alpha, w = weights.alpha, weights.w
+    alpha_cv = np.std(alpha, axis=-1) / np.mean(alpha, axis=-1)
+    entropy = -np.sum(w * np.log(np.clip(w, 1e-300, None)), axis=-1)
+    return alpha_cv, np.mean(entropy, axis=-1), np.mean(np.max(w, axis=-1), axis=-1)

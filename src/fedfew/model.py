@@ -73,6 +73,15 @@ class ClientRows:
         """Some clients, or some clients and rows: rows[ids, :, :n]."""
         return ClientRows(self.x[key], self.labels[key], self.weights[key])
 
+    def target(self, classes: int) -> np.ndarray:
+        """The one-hot labels times the row weights (M, G, C, n), computed once
+        per C: a block's view (_blocks) keeps it from call to call."""
+        memo = self.__dict__.setdefault("_targets", {})  # beside the frozen fields
+        if classes not in memo:
+            memo[classes] = ((self.labels[..., None, :] == np.arange(classes)[:, None])
+                             * self.weights[..., None, :])
+        return memo[classes]
+
     @property
     def counts(self) -> np.ndarray:
         """(M,) rows of each client, for a G = 1 stack."""
@@ -107,6 +116,14 @@ def stack_rows(spec: ModelSpec, pairs) -> ClientRows:
     return ClientRows(x, y, weights)
 
 
+def _folded(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w (M, K', r, s) @ x (M, G, s, n) for each pair, (M, K', r, n): the K'/G
+    tasks that share rows make one (K'/G * r, s) @ (s, n) product per client
+    and G, which for G = K' is the product of each pair."""
+    m, k, r, s = w.shape
+    return (w.reshape(m, x.shape[1], -1, s) @ x).reshape(m, k, r, -1)
+
+
 def _grid_logits(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
     """Logits of every pair (M, K', C, n) and the hidden layer (None for softmax).
 
@@ -117,10 +134,10 @@ def _grid_logits(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows):
     p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
     xt = rows.x.swapaxes(-1, -2)  # (M, G, p + 1, n)
     if spec.kind == SOFTMAX:
-        return thetas.reshape(m, k, c, p + 1) @ xt, None
+        return _folded(thetas.reshape(m, k, c, p + 1), xt), None
     n1 = (p + 1) * h
     w2 = thetas[..., n1:].reshape(m, k, c, h + 1)
-    a = np.tanh(thetas[..., :n1].reshape(m, k, h, p + 1) @ xt)
+    a = np.tanh(_folded(thetas[..., :n1].reshape(m, k, h, p + 1), xt))
     return w2[..., :h] @ a + w2[..., h:], a
 
 
@@ -130,12 +147,11 @@ def _grid_forward(spec: ModelSpec, thetas: np.ndarray, rows: ClientRows, loss: b
     sums over classes, the one-hot labels times row weights (M, G, C, n) and
     the hidden layer.
     """
-    c = spec.classes
     z, a = _grid_logits(spec, thetas, rows)
     z -= z.max(axis=-2, keepdims=True)
     e = np.exp(z)
     partition = e.sum(axis=-2, keepdims=True)
-    target = (rows.labels[..., None, :] == np.arange(c)[:, None]) * rows.weights[..., None, :]
+    target = rows.target(spec.classes)
     if not loss:
         return None, e, partition, target, a
     # cross-entropy of a row: log partition minus the shifted logit of its label
@@ -164,14 +180,14 @@ def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows,
     delta *= rows.weights[..., None, :]
     delta -= target  # (M, K', C, n): weighted softmax minus one-hot
     if spec.kind == SOFTMAX:
-        g = (delta @ rows.x).reshape(m, k, -1)
+        g = _folded(delta, rows.x).reshape(m, k, -1)
     else:
         p, c, h = spec.input_dim, spec.classes, spec.hidden_dim
         w2 = thetas[..., (p + 1) * h :].reshape(m, k, c, h + 1)
         g2 = np.concatenate([delta @ a.swapaxes(-1, -2), delta.sum(axis=-1)[..., None]], axis=-1)
         # backprop through tanh; drop the bias column of W2
         da = (w2[..., :h].swapaxes(-1, -2) @ delta) * (1.0 - a * a)
-        g = np.concatenate([(da @ rows.x).reshape(m, k, -1), g2.reshape(m, k, -1)], axis=-1)
+        g = np.concatenate([_folded(da, rows.x).reshape(m, k, -1), g2.reshape(m, k, -1)], axis=-1)
     return losses, g + spec.l2_penalty * thetas
 
 
@@ -208,11 +224,17 @@ BLOCK_ENTRIES = 2**14
 
 
 def _blocks(spec: ModelSpec, rows: ClientRows, k: int, batch_size: int | None = None,
-            epochs: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of clients and their split sizes, largest first: a block pads
-    little, and its clients with batches left lead it.  For a grid of K' = k
-    models a block takes as many clients as BLOCK_ENTRIES allows at its
-    largest split n, and at least one.
+            epochs: int = 1) -> list[tuple[np.ndarray, np.ndarray, ClientRows | None]]:
+    """Blocks of clients, their split sizes and their rows, largest first: a
+    block pads little, and its clients with batches left lead it.  For a grid
+    of K' = k models a block takes as many clients as BLOCK_ENTRIES allows at
+    its largest split n, and at least one.
+
+    A block whose clients are a contiguous run a..b-1 (every block when all
+    splits have one size: the stable sort keeps client order) gets its rows as
+    the view rows[a:b, :, :n], which keeps its memoized target for as long as
+    the block is held; any other block gets None and gathers rows[ids, :, :n]
+    at each use, so no copy is kept.
 
     A block whose n exceeds batch_size trains on mini-batches: it also holds
     its E epochs' row orders, k * E entries per row, and an epoch of gathered
@@ -228,7 +250,8 @@ def _blocks(spec: ModelSpec, rows: ClientRows, k: int, batch_size: int | None = 
         if batch_size is not None and batch_size < n:
             entries = max(entries, -(-n // batch_size) * batch_size * batched)
         ids = by_size[start : start + max(1, BLOCK_ENTRIES // entries)]
-        blocks.append((ids, counts[ids]))
+        view = rows[ids[0] : ids[-1] + 1, :, :n] if (np.diff(ids) == 1).all() else None
+        blocks.append((ids, counts[ids], view))
         start += len(ids)
     return blocks
 
@@ -239,9 +262,9 @@ def _grid_losses(spec: ModelSpec, models: np.ndarray, rows: ClientRows,
     _blocks' for K'): models (K', d) are scored on every client, a grid
     (M, K', d) scores models[i] on client i."""
     losses = np.empty((rows.x.shape[0], models.shape[-2]))
-    for ids, counts in blocks or _blocks(spec, rows, models.shape[-2]):
+    for ids, counts, part in blocks or _blocks(spec, rows, models.shape[-2]):
         grid = models[ids] if models.ndim == 3 else np.broadcast_to(models, (len(ids), *models.shape))
-        losses[ids] = grid_loss(spec, grid, rows[ids, :, : counts[0]])
+        losses[ids] = grid_loss(spec, grid, rows[ids, :, : counts[0]] if part is None else part)
     return losses
 
 

@@ -38,7 +38,7 @@ def _check_values(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or min(values.shape) < 1:
         raise ValueError("values must be a non-empty (M, K) matrix")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
+    if not 0 <= values.min() <= values.max() < np.inf:  # NaN fails the first comparison
         raise ValueError("loss entries must be finite and nonnegative")
     return values
 

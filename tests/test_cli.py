@@ -103,10 +103,11 @@ BAD_BUILD_VALUES = [
 # a csv.path file that reads but is malformed: what it holds past a valid
 # 120-row file (None: nothing at all), and the message that names the row
 MALFORMED_CSV = [
-    ("1.0,0\n", "row 121: expected 3 columns, got 2"),
-    ("x,1.0,0\n", "row 121: non-numeric feature"),
-    ("1.0,2.0,a\n", "row 121: non-integer label 'a'"),
-    ("1.0,2.0,-1\n", "row 121: negative label"),
+    (b"1.0,0\n", "row 121: expected 3 columns, got 2"),
+    (b"x,1.0,0\n", "row 121: non-numeric feature"),
+    (b"1.0,2.0,a\n", "row 121: non-integer label 'a'"),
+    (b"1.0,2.0,-1\n", "row 121: negative label"),
+    (b"\xff\xfe1.0,2.0,0\n", "row 121: not UTF-8 text"),
     (None, "empty file"),
 ]
 
@@ -383,6 +384,45 @@ class TestPinnedRunBytes:
                      for f in files) == digests
 
 
+class TestPinnedFullBatchBytes:
+    """Full-batch runs' output files, byte for byte: every split is one batch,
+    so any change to the blocks' rows, the kernel's products or the trace's
+    diagnostics changes these digests."""
+
+    @pytest.mark.parametrize("pairs, oracle, digests", [
+        ({}, False,
+         ("282a7e51c328da820e4752609081ef85267c35ddb1b9432470bc439081539586",
+          "42ebdc7f5a39b39b9146d92664abffea81c5fcd39a110b7e737834820a93ec7b",
+          "1d85b594eba7af3ffcff20f09e06240fc873d615484a90692a9683df0421145c")),
+        ({"M": "1200", "T": "3"}, False,
+         ("8cc09a4d1b374aeecd9868cd7a5a72933c6f5120ed8e03e038d44f4277647981",
+          "c37bebe8bc7598bced05e068b708589e5fd50dc1bb9308ea3d5c1b1f1721d51d",
+          "d19cfdfbbb1deabc061f169ee442e0c1caf59d962ea3d2d7f1eeb7f8cd766d51")),
+        ({"M": "120", "T": "10"}, True,
+         ("629d8eda474e5dc303eaf22429df2a61a073a1d8ac4842213b9daf89d7efa862",
+          "7cebe1dd8e0d23026561a547ea8a2f109ad43f9003300cab6294a658430b3842",
+          "fdebecbf544cf086b01cc534e770df076475dbc615d02c941aca3df21c5c03f0")),
+        ({"method": "ifca", "T": "50"}, False,
+         ("3d16ef6f455cfb31bf115bd98d708362a10aede3b23ef7a0fe47cbfa90f08fe9",
+          "4bf117d74b66edf7e13d5e81b4481089acacaafd06e1aea762b57c2d508f2e47",
+          "ab9ae7a7584fb7e75bfb48548fd9668a606e11b1821985727f5b595be09dfb63")),
+        ({"method": "fedavg", "K": "1", "T": "50"}, False,
+         ("b7e0a3369a49b0eb1e3fbab2e65cc76d81a252e6cb1ebfc8d3b887839a75d2b2",
+          "c10bb27c0c3cfcb785183750ead4b30e5a52d66351210547d3d5cf8e5d97ad91",
+          "29f19beb2a77c91a59afb46a0478c1ba626135e1afbb02b8bfa7f3f14bc7c37b")),
+        ({"method": "local", "K": "1", "T": "50"}, False,
+         ("a114c326706eedea69018f21f246bfeb103f6c833e2d43493ad0c683db098370",
+          "aeae8dc4445ce48e5b45fe2bb16664ce77b7bf33bb233deff4f2fd900774582a",
+          "f9f5ef74e67d3f53158933f06a59961c7c309d53da28bba401a404ad93a03449")),
+    ], ids=["flagship", "M1200", "oracle", "ifca", "fedavg", "local"])
+    def test_outputs_match_their_digests(self, tmp_path, pairs, oracle, digests):
+        values = {**_read_pairs(CONFIGS / "group_recovery.cfg"), **pairs}
+        run_experiment(config_from_pairs(values), tmp_path / "out", oracle=oracle)
+        files = ("trace.csv", "clients.csv", "summary.csv")
+        assert tuple(hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+                     for f in files) == digests
+
+
 class TestRunAblation:
     def test_local_epochs_axis_preserves_total_updates(self, tmp_path):
         text = BASE.replace("T=8", "T=240") + "ablate.local_epochs=1,2,4\n"
@@ -506,11 +546,11 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("tail, message", MALFORMED_CSV,
                              ids=["ragged-row", "non-numeric-feature", "non-integer-label",
-                                  "negative-label", "empty-file"])
+                                  "negative-label", "not-utf-8", "empty-file"])
     def test_malformed_csv_exits_two_and_writes_nothing(self, tmp_path, capsys, command, tail,
                                                         message):
         data = write_csv_data(tmp_path / "data.csv")
-        data.write_text("" if tail is None else data.read_text() + tail)
+        data.write_bytes(b"" if tail is None else data.read_bytes() + tail)
         path = write_cfg(tmp_path, with_keys(BASE, dataset="csv", **{"csv.path": str(data),
                                                                       "ablate.K": "1,2"}))
         out = tmp_path / "bad"

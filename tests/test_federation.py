@@ -16,6 +16,7 @@ from fedfew.cli import parse_config
 from fedfew.data import ClientDataset, Dataset, Problem
 from fedfew.errors import ConfigError
 from fedfew.federation import (
+    RUNNERS,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
@@ -29,8 +30,8 @@ from fedfew.federation import (
     select_models,
     training_blocks,
 )
-from fedfew.metrics import accuracy
-from fedfew.model import ModelSpec, init_params, stack_rows
+from fedfew.metrics import accuracy, weight_diagnostics
+from fedfew.model import ModelSpec, grid_loss_and_grad, init_params, stack_rows
 from fedfew.numerics import STREAM_BATCH, STREAM_INIT
 from fedfew.scalarization import aggregate_gradients, compute_weights
 from perpair import grad, loss, optimum
@@ -504,7 +505,7 @@ def check_blocks_of_three_and_one(monkeypatch, spec, batch_size):
     monkeypatch.setattr(model, "BLOCK_ENTRIES", 3 * 29 * per_row)
     cfg, clients = replace(engine_cfg("fedfew", 2), batch_size=batch_size), uneven_clients()
     problem = stacked(clients, spec)
-    assert [len(ids) for ids, _ in model._blocks(spec, problem.train, 2)] == [3, 1]
+    assert [len(ids) for ids, *_ in model._blocks(spec, problem.train, 2)] == [3, 1]
     models, traces = run_fedfew(cfg, problem, spec)
     expected, values = loop_fedfew(cfg, clients, spec, "lookahead")
     np.testing.assert_allclose(models, expected, rtol=1e-10)
@@ -579,6 +580,77 @@ class TestBatchedEngine:
         cfg = replace(engine_cfg("local", 1), learning_rate=1e200)
         with pytest.raises(FloatingPointError, match=r"round 1: client (\d+), model \1:"):
             run_local(cfg, stacked(uneven_clients(), MLP_SPEC), MLP_SPEC)
+
+
+class TestTracePass:
+    """Trace rows are scored a pass of rounds at a time (_Run.step); each must
+    equal a per-round weight_diagnostics call on that round's weights."""
+
+    @pytest.mark.parametrize("method, overrides", [
+        ("fedfew", {}), ("fedavg", {"models": 1}), ("ifca", {}), ("local", {"models": 1}),
+        # a pass is max(1, 16384 // (1200 * 3)) = 4 rounds: two passes
+        ("fedfew", {"clients": 1200, "rounds": 6}),
+    ], ids=["fedfew", "fedavg", "ifca", "local", "two-passes"])
+    def test_trace_matches_per_round_diagnostics(self, monkeypatch, method, overrides):
+        cfg = parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg")
+        cfg = replace(cfg, method=method, **{"rounds": 20, **overrides})
+        rounds, scored = [], []
+
+        def recording(values, mu):
+            rounds.append(compute_weights(values, mu))
+            return rounds[-1]
+
+        def counting(weights):
+            scored.append(weights.alpha.shape[0])
+            return weight_diagnostics(weights)
+
+        monkeypatch.setattr(federation, "compute_weights", recording)
+        monkeypatch.setattr(federation, "weight_diagnostics", counting)
+        _, traces = RUNNERS[method](cfg)
+        passes = max(1, model.BLOCK_ENTRIES // (cfg.clients * cfg.models))
+        assert scored == [min(passes, cfg.rounds - r) for r in range(0, cfg.rounds, passes)]
+        assert [t.round for t in traces] == list(range(1, cfg.rounds + 1))
+        for trace, weights in zip(traces, rounds, strict=True):
+            assert trace.stch_value == weights.value
+            assert (trace.alpha_cv, trace.w_entropy_mean, trace.w_max_mean) == \
+                weight_diagnostics(weights)
+
+
+class TestBlockViews:
+    @pytest.fixture(scope="class")
+    def dirichlet(self, tmp_path_factory):
+        """dirichlet_csv.cfg's problem: 8 clients of unequal size."""
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        subprocess.run([sys.executable, str(ROOT / "scripts" / "make_csv_dataset.py"), str(path)],
+                       check=True, capture_output=True)
+        cfg = parse_config(ROOT / "scripts" / "configs" / "dirichlet_csv.cfg")
+        return replace(cfg, data=replace(cfg.data, csv_path=str(path)))
+
+    @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+    def test_view_and_its_memoized_target_match_a_gather(self, dirichlet, kind):
+        cfg = replace(dirichlet, model=replace(dirichlet.model, kind=kind))
+        problem, spec = build_problem(cfg)
+        rows = problem.train
+        m, n = len(problem), rows.counts.max()
+        assert len(set(rows.counts)) > 1  # the view holds padding rows
+        view = rows[:m, :, :n]
+        rng = np.random.default_rng(0)
+        thetas = rng.normal(size=(m, cfg.models, spec.dim))
+        first, again = (grid_loss_and_grad(spec, thetas, view) for _ in range(2))
+        assert view.target(spec.classes) is view.target(spec.classes)
+        fresh = grid_loss_and_grad(spec, thetas, rows[np.arange(m), :, :n])
+        for got in (first, again):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh]
+
+    def test_blocks_view_contiguous_clients_and_gather_the_rest(self, dirichlet):
+        problem, spec = build_problem(dirichlet)
+        parts = [part for *_, part in model._blocks(spec, problem.train, dirichlet.models)]
+        assert None in parts  # unequal sizes: the size order is not the client order
+        problem, spec = build_problem(replace(parse_config(ROOT / "scripts" / "configs" /
+                                                           "group_recovery.cfg"), clients=1200))
+        for ids, _, part in model._blocks(spec, problem.train, 3):
+            np.testing.assert_array_equal(ids, np.arange(ids[0], ids[0] + len(ids)))
+            assert np.shares_memory(part.x, problem.train.x)  # a view, not a copy
 
 
 # three rounds at M=1200 in a fresh interpreter, so the allocator starts clean

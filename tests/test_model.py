@@ -301,11 +301,11 @@ class TestBlocks:
                                  for n in counts])
         with mock.patch.object(model, "BLOCK_ENTRIES", budget):
             blocks = model._blocks(spec, rows, k)
-        ids = np.concatenate([block for block, _ in blocks])
+        ids = np.concatenate([block for block, *_ in blocks])
         np.testing.assert_array_equal(np.sort(ids), np.arange(len(counts)))
-        sizes = np.concatenate([sizes for _, sizes in blocks])
+        sizes = np.concatenate([sizes for _, sizes, _ in blocks])
         np.testing.assert_array_equal(sizes, np.asarray(counts)[ids])
         assert np.all(np.diff(sizes) <= 0)
         per_row = max(k * max(spec.classes, spec.hidden_dim), spec.input_dim + 1)
-        for block, block_sizes in blocks:
+        for block, block_sizes, _ in blocks:
             assert len(block) == 1 or len(block) * block_sizes[0] * per_row <= budget

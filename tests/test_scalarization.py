@@ -186,8 +186,8 @@ class TestLossValues:
     @pytest.mark.parametrize("fn", [tch_set_value, lambda v: compute_weights(v, 1.0)],
                              ids=["tch", "weights"])
     @pytest.mark.parametrize("values", [[[-1.0, 2.0]], [[np.nan, 2.0]], [[np.inf, 2.0]],
-                                        [1.0, 2.0], np.zeros((0, 2))],
-                             ids=["negative", "nan", "inf", "not-2d", "empty"])
+                                        [[-np.inf, 2.0]], [1.0, 2.0], np.zeros((0, 2))],
+                             ids=["negative", "nan", "inf", "-inf", "not-2d", "empty"])
     def test_rejects_bad_losses(self, fn, values):
         with pytest.raises(ValueError):
             fn(values)
