@@ -239,8 +239,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, oracle: bool = False) -> dict
 
         mean_gap = None
         if oracle:
-            optima = [per_client_optimum(spec, problem.train[i:i + 1, :, :n]).theta
-                      for i, n in enumerate(problem.train.counts)]
+            # per client, in order, as perfbench/shim.py records them; the first call solves all
+            optima = [per_client_optimum(spec, problem.train, i).theta for i in range(cfg.clients)]
             _, mean_gap = coverage_gap(spec, models, optima, problem.train)
 
         fairness = fairness_report(test_accs)

@@ -418,33 +418,50 @@ def check_oracle_model(kind: str) -> None:
                           "only a convex model has one optimum per client")
 
 
-def per_client_optimum(spec: ModelSpec, rows: ClientRows) -> OptimumResult:
-    """Damped Newton with Armijo backtracking on one client's full train loss, its
-    unpadded rows (1, 1, n_i) (Boyd & Vandenberghe, Convex Optimization, 9.5), from theta = 0.
+NEWTON_TOL, NEWTON_MAX_STEPS = 1e-6, 20000  # a client's gradient norm to reach, and its step cap
 
-    With l2 > 0 the Hessian is positive definite; at l2 = 0 it is singular
-    (exactly so at theta = 0), and the step is the minimum-norm solution.
-    """
+
+def per_client_optimum(spec: ModelSpec, rows: ClientRows, i: int) -> OptimumResult:
+    """Client i's optimum on a G = 1 stack: the first call solves every client
+    of the stack (_newton), which keeps the results per spec."""
     check_oracle_model(spec.kind)
-    theta = np.zeros((1, 1, spec.dim))  # a grid of one pair
-    f, g = grid_loss_and_grad(spec, theta, rows)
-    steps = 0
-    gnorm = float(np.linalg.norm(g))
-    while gnorm > 1e-6 and steps < 20000:
-        hessian = softmax_hessian(spec, theta, rows)
-        if spec.l2_penalty > 0:
-            direction = -np.linalg.solve(hessian, g[0, 0])
-        else:
-            direction = -np.linalg.lstsq(hessian, g[0, 0], rcond=None)[0]
-        slope = float(g[0, 0] @ direction)
-        step = 1.0
-        for _ in range(60):
-            trial = theta + step * direction
-            f_trial, g_trial = grid_loss_and_grad(spec, trial, rows)
-            if f_trial[0, 0] <= f[0, 0] + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        theta, f, g = trial, f_trial, g_trial
-        gnorm = float(np.linalg.norm(g))
-        steps += 1
-    return OptimumResult(theta=theta[0, 0], grad_norm=gnorm, steps=steps)
+    return rows.memo(("optima", spec), lambda: _newton(spec, rows))[i]
+
+
+def _newton(spec: ModelSpec, rows: ClientRows) -> list[OptimumResult]:
+    """Damped Newton with Armijo backtracking (Boyd & Vandenberghe, Convex Optimization,
+    9.5) on each client's train loss from theta = 0, a block's clients in lockstep, each with
+    its own steps and line search; at l2 = 0 (a singular Hessian) the minimum-norm step."""
+    thetas, (norms, taken) = np.empty((len(rows.x), spec.dim)), np.empty((2, len(rows.x)))
+    c, q = spec.classes, spec.input_dim + 1  # a block holds C(C+1)/2 and q(q+1)/2 products per row
+    for ids, counts, part in _blocks(spec, rows, -(-max(c * (c + 1), q * (q + 1)) // (2 * c))):
+        # a view of its own, whose memoized products go once the block is solved
+        part = rows[ids, :, : counts[0]] if part is None else part[:]
+        theta, steps = np.zeros((len(ids), 1, spec.dim)), np.zeros(len(ids), dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging client is reported below
+            f, g = grid_loss_and_grad(spec, theta, part)
+            gnorm = np.sqrt(np.einsum("akd,akd->a", g, g))
+            while (live := (gnorm > NEWTON_TOL) & (steps < NEWTON_MAX_STEPS)).any():
+                hessian = softmax_hessian(spec, theta, part)
+                if spec.l2_penalty > 0:
+                    direction = -np.linalg.solve(hessian, g.swapaxes(1, 2)).swapaxes(1, 2)
+                else:  # numpy's lstsq takes one matrix at a time
+                    direction = np.zeros_like(g)
+                    for j in np.flatnonzero(live):
+                        direction[j, 0] = -np.linalg.lstsq(hessian[j], g[j, 0], rcond=None)[0]
+                slope = np.einsum("akd,akd->a", g, direction)
+                step, search = live * 1.0, live.copy()  # a stopped client stays put
+                for _ in range(60):  # the last trial holds each first Armijo point, or the 60th
+                    trial = theta + step[:, None, None] * direction
+                    f_trial, g_trial = grid_loss_and_grad(spec, trial, part)
+                    search &= ~(f_trial[:, 0] <= f[:, 0] + 1e-4 * step * slope)
+                    if not search.any():
+                        break
+                    step[search] *= 0.5
+                theta, f, g, steps = trial, f_trial, g_trial, steps + live
+                gnorm = np.sqrt(np.einsum("akd,akd->a", g, g))
+        for j in np.flatnonzero(~(gnorm <= NEWTON_TOL)):  # the first such client fails the run
+            raise ArithmeticError(f"oracle: client {ids[j]} did not converge: gradient norm "
+                                  f"{gnorm[j]:.3g} after {steps[j]} Newton steps")
+        thetas[ids], norms[ids], taken[ids] = theta[:, 0], gnorm, steps
+    return [OptimumResult(t, float(n), int(s)) for t, n, s in zip(thetas, norms, taken)]

@@ -18,6 +18,7 @@ Flat layouts:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +74,15 @@ class ClientRows:
         """Some clients, or some clients and rows: rows[ids, :, :n]."""
         return ClientRows(self.x[key], self.labels[key], self.weights[key])
 
+    def memo(self, key, make):
+        """make(), once per stack and key: a block's view keeps it from call to call."""
+        memo = self.__dict__.setdefault("_memo", {})  # beside the frozen fields
+        return memo[key] if key in memo else memo.setdefault(key, make())
+
     def target(self, classes: int) -> np.ndarray:
-        """The one-hot labels times the row weights (M, G, C, n), computed once
-        per C: a block's view (_blocks) keeps it from call to call."""
-        memo = self.__dict__.setdefault("_targets", {})  # beside the frozen fields
-        if classes not in memo:
-            memo[classes] = ((self.labels[..., None, :] == np.arange(classes)[:, None])
-                             * self.weights[..., None, :])
-        return memo[classes]
+        """The one-hot labels times the row weights (M, G, C, n), once per C."""
+        return self.memo(("target", classes), lambda: self.weights[..., None, :] * (
+            self.labels[..., None, :] == np.arange(classes)[:, None]))
 
     @property
     def counts(self) -> np.ndarray:
@@ -191,20 +193,31 @@ def grid_loss_and_grad(spec: ModelSpec, thetas, rows: ClientRows,
     return losses, g + spec.l2_penalty * thetas
 
 
+@functools.cache
+def _hessian_layout(c: int, q: int):
+    """softmax_hessian's pairs c <= e and j <= k (np.triu_indices), and the
+    place of each Hessian entry ((c, j), (e, k)) among their products, flat."""
+    def place(k):  # of the pair (i, j) or (j, i) among np.triu_indices(k)
+        i, j = np.sort(np.indices((k, k)), axis=0)
+        return i * (2 * k - i - 1) // 2 + j
+    (ci, cj), (xi, xj) = np.triu_indices(c), np.triu_indices(q)
+    return ci, cj, xi, xj, (place(c)[:, None, :, None] * len(xi) + place(q)[:, None, :]).ravel()
+
+
 def softmax_hessian(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:
-    """Hessian (d, d) of the softmax-regression loss of a grid of one pair (1, 1, d):
-    sum_r w_r (diag p_r - p_r p_r^T) kron x_r x_r^T + l2 I, for the oracle."""
-    z = _grid_logits(spec, thetas, rows)[0][0, 0]  # (C, n)
-    probs = np.exp(z - z.max(axis=0))
-    probs /= probs.sum(axis=0)
-    x = rows.x[0, 0]  # (n, p + 1)
-    wpx = (probs * rows.weights[0, 0])[..., None] * x  # (C, n, p + 1): w_r p_rc x_r
-    c, d = spec.classes, spec.dim
-    # block (c, c): sum_r w_r p_rc x_r x_r^T
-    diagonal = np.einsum("ce,cjk->cjek", np.eye(c), wpx.swapaxes(1, 2) @ x).reshape(d, d)
-    # entry ((c, j), (e, k)): sum_r w_r p_rc x_rj p_re x_rk
-    outer = wpx.swapaxes(0, 1).reshape(-1, d).T @ (probs[..., None] * x).swapaxes(0, 1).reshape(-1, d)
-    return diagonal - outer + spec.l2_penalty * np.eye(d)
+    """Hessians (M, d, d) of the softmax loss of a grid of one model per client (M, 1, d),
+    for the oracle: sum_r A_r kron x_r x_r^T + l2 I, A_r = w_r (diag p_r - p_r p_r^T), placed
+    from a product of distinct entries per client, (C(C+1)/2, n) @ (n, (p+1)(p+2)/2)."""
+    _, probs, partition, _, _ = _grid_forward(spec, thetas, rows, loss=False)
+    probs = (probs / partition)[:, 0]  # (M, C, n)
+    m, d, x = len(probs), spec.dim, rows.x[:, 0]
+    ci, cj, xi, xj, at = _hessian_layout(spec.classes, spec.input_dim + 1)
+    a = np.take(probs * rows.weights[:, 0, None, :], ci, axis=1)
+    a *= (ci == cj)[:, None] - np.take(probs, cj, axis=1)  # A_rce, c <= e
+    outer = rows.memo("outer", lambda: x[..., xi] * x[..., xj])  # x_rj x_rk, j <= k
+    h = np.take((a @ outer).reshape(m, -1), at, axis=1).reshape(m, d, d)
+    h.reshape(m, -1)[:, :: d + 1] += spec.l2_penalty
+    return h
 
 
 def grid_predict(spec: ModelSpec, thetas, rows: ClientRows) -> np.ndarray:

@@ -3,12 +3,13 @@
 Written out with plain matrix products, one forward pass per call, so the
 tests can check the batched kernel of fedfew.model, and what is built on it
 (training, evaluation, the oracle), pair by pair.  Same flat layouts as
-fedfew.model.
+fedfew.model.  newton is the oracle's one-client damped Newton as it was
+before it solved a block of clients at once, with its one-pair Hessian.
 """
 
 import numpy as np
 
-from fedfew.model import SOFTMAX, ModelSpec
+from fedfew.model import SOFTMAX, ModelSpec, _grid_logits, grid_loss_and_grad
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -118,3 +119,51 @@ def optimum(spec: ModelSpec, features, labels, budget: int = 20000, tol: float =
         gnorm = float(np.linalg.norm(g))
         steps += 1
     return theta, steps
+
+
+def one_pair_hessian(spec: ModelSpec, thetas, rows) -> np.ndarray:
+    """Hessian (d, d) of the softmax-regression loss of a grid of one pair (1, 1, d):
+    sum_r w_r (diag p_r - p_r p_r^T) kron x_r x_r^T + l2 I, for the oracle."""
+    z = _grid_logits(spec, thetas, rows)[0][0, 0]  # (C, n)
+    probs = np.exp(z - z.max(axis=0))
+    probs /= probs.sum(axis=0)
+    x = rows.x[0, 0]  # (n, p + 1)
+    wpx = (probs * rows.weights[0, 0])[..., None] * x  # (C, n, p + 1): w_r p_rc x_r
+    c, d = spec.classes, spec.dim
+    # block (c, c): sum_r w_r p_rc x_r x_r^T
+    diagonal = np.einsum("ce,cjk->cjek", np.eye(c), wpx.swapaxes(1, 2) @ x).reshape(d, d)
+    # entry ((c, j), (e, k)): sum_r w_r p_rc x_rj p_re x_rk
+    outer = wpx.swapaxes(0, 1).reshape(-1, d).T @ (probs[..., None] * x).swapaxes(0, 1).reshape(-1, d)
+    return diagonal - outer + spec.l2_penalty * np.eye(d)
+
+
+def newton(spec: ModelSpec, rows):
+    """Damped Newton with Armijo backtracking on one client's full train loss, its
+    unpadded rows (1, 1, n_i) (Boyd & Vandenberghe, Convex Optimization, 9.5), from theta = 0.
+
+    With l2 > 0 the Hessian is positive definite; at l2 = 0 it is singular
+    (exactly so at theta = 0), and the step is the minimum-norm solution.
+    Returns (theta, grad_norm, steps).
+    """
+    theta = np.zeros((1, 1, spec.dim))  # a grid of one pair
+    f, g = grid_loss_and_grad(spec, theta, rows)
+    steps = 0
+    gnorm = float(np.linalg.norm(g))
+    while gnorm > 1e-6 and steps < 20000:
+        hessian = one_pair_hessian(spec, theta, rows)
+        if spec.l2_penalty > 0:
+            direction = -np.linalg.solve(hessian, g[0, 0])
+        else:
+            direction = -np.linalg.lstsq(hessian, g[0, 0], rcond=None)[0]
+        slope = float(g[0, 0] @ direction)
+        step = 1.0
+        for _ in range(60):
+            trial = theta + step * direction
+            f_trial, g_trial = grid_loss_and_grad(spec, trial, rows)
+            if f_trial[0, 0] <= f[0, 0] + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        theta, f, g = trial, f_trial, g_trial
+        gnorm = float(np.linalg.norm(g))
+        steps += 1
+    return theta[0, 0], gnorm, steps

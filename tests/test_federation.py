@@ -34,7 +34,7 @@ from fedfew.metrics import accuracy, weight_diagnostics
 from fedfew.model import ModelSpec, grid_loss_and_grad, init_params, stack_rows
 from fedfew.numerics import STREAM_BATCH, STREAM_INIT
 from fedfew.scalarization import aggregate_gradients, compute_weights
-from perpair import grad, loss, optimum
+from perpair import grad, loss, newton, optimum
 from streams import stream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -343,7 +343,7 @@ class TestRunLocal:
 
 class TestPerClientOptimum:
     def test_reaches_tight_gradient_norm(self):
-        result = per_client_optimum(SPEC, train_rows(make_client(seed=5)))
+        result = per_client_optimum(SPEC, train_rows(make_client(seed=5)), 0)
         assert result.grad_norm <= 1e-6
 
     def test_symmetric_dataset_has_zero_optimum(self):
@@ -352,12 +352,12 @@ class TestPerClientOptimum:
         x = np.array([[1.0, 2.0], [-1.0, -2.0], [1.0, 2.0], [-1.0, -2.0]])
         y = np.array([0, 0, 1, 1])
         d = Dataset(x, y, 2)
-        result = per_client_optimum(SPEC, train_rows(ClientDataset(d, d)))
+        result = per_client_optimum(SPEC, train_rows(ClientDataset(d, d)), 0)
         assert np.linalg.norm(result.theta) <= 1e-4
 
     def test_beats_random_probes(self):
         client = make_client(seed=7)
-        result = per_client_optimum(SPEC, train_rows(client))
+        result = per_client_optimum(SPEC, train_rows(client), 0)
         best = loss(SPEC, result.theta, client.train.features, client.train.labels)
         rng = stream(11)
         for _ in range(100):
@@ -370,7 +370,7 @@ class TestPerClientOptimum:
         # clients of unequal size: Newton against the reference descent
         client = make_client(seed=n, n=n + 4)
         x, y = client.train.features, client.train.labels
-        result = per_client_optimum(SPEC, train_rows(client))
+        result = per_client_optimum(SPEC, train_rows(client), 0)
         theta, _ = optimum(SPEC, x, y)
         assert np.linalg.norm(grad(SPEC, result.theta, x, y)) <= 1e-6
         assert loss(SPEC, result.theta, x, y) <= loss(SPEC, theta, x, y) + 1e-12
@@ -384,7 +384,7 @@ class TestPerClientOptimum:
         spec = ModelSpec("softmax-regression", input_dim=4, classes=2, l2_penalty=0.0)
         rng = stream(n)
         d = Dataset(rng.normal(size=(n, 4)), np.arange(n) % 2, 2)
-        result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec))
+        result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec), 0)
         assert np.linalg.norm(grad(spec, result.theta, d.features, d.labels)) <= 1e-6
 
     def test_damped_steps_still_converge(self, monkeypatch):
@@ -400,14 +400,30 @@ class TestPerClientOptimum:
         spec = ModelSpec("softmax-regression", input_dim=4, classes=3, l2_penalty=1e-6)
         rng = stream(132)
         d = Dataset(2.5 * rng.normal(size=(17, 4)), rng.integers(0, 3, size=17), 3)
-        result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec))
+        result = per_client_optimum(spec, train_rows(ClientDataset(d, d), spec), 0)
         trials = len(calls) - 1  # the first call scores theta = 0
         assert trials > result.steps
         assert result.grad_norm <= 1e-6
 
     def test_mlp_is_a_config_error(self):
         with pytest.raises(ConfigError, match="oracle.*model.kind"):
-            per_client_optimum(MLP_SPEC, train_rows(make_client(), MLP_SPEC))
+            per_client_optimum(MLP_SPEC, train_rows(make_client(), MLP_SPEC), 0)
+
+    def test_non_finite_gradient_fails_loudly(self):
+        # features near 1e200 overflow the Hessian: one step leaves theta NaN,
+        # whose gradient norm never exceeds the tolerance
+        x = stream(3).normal(size=(6, 2)) * 1e200
+        rows = stack_rows(SPEC, [(x, np.arange(6) % 2)])
+        with pytest.raises(ArithmeticError, match="client 0 did not converge: "
+                                                  "gradient norm nan after 1 Newton steps"):
+            per_client_optimum(SPEC, rows, 0)
+
+    def test_step_cap_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(federation, "NEWTON_MAX_STEPS", 2)
+        rows = stacked([make_client(seed=5), make_client(seed=6)]).train
+        with pytest.raises(ArithmeticError, match=r"client \d did not converge: gradient norm "
+                                                  r"\S+ after 2 Newton steps"):
+            per_client_optimum(SPEC, rows, 1)
 
     def test_at_most_ten_steps_on_group_recovery(self):
         # a deterministic speed guard, in place of a wall-clock gate
@@ -416,9 +432,74 @@ class TestPerClientOptimum:
         train = problem.train
         assert len(problem) == 12
         for i, n in enumerate(train.counts):
-            result = per_client_optimum(spec, train[i:i + 1, :, :n])
+            result = per_client_optimum(spec, train, i)
             assert result.grad_norm <= 1e-6
             assert result.steps <= 10
+
+
+class TestBatchedNewton:
+    """The blocked solve against the one-client damped Newton it replaced
+    (perpair.newton), each client on its own unpadded rows: the same steps,
+    and theta within 1e-10 (the Hessians differ in the last bits)."""
+
+    @staticmethod
+    def check(spec, rows, monkeypatch):
+        blocks = []
+
+        def recorded(spec, thetas, part):
+            blocks.append(len(thetas))
+            return model.softmax_hessian(spec, thetas, part)
+
+        monkeypatch.setattr(federation, "softmax_hessian", recorded)
+        for i, n in enumerate(rows.counts):
+            theta, grad_norm, steps = newton(spec, rows[i:i + 1, :, :n])
+            result = per_client_optimum(spec, rows, i)
+            assert result.steps == steps
+            assert grad_norm <= 1e-6 and result.grad_norm <= 1e-6
+            got = result.theta
+            if spec.l2_penalty == 0:
+                # the loss is flat along one vector added to every class's
+                # weights, and a singular Hessian's last bits move theta there
+                got, theta = (v.reshape(spec.classes, -1) for v in (got, theta))
+                got, theta = got - got.mean(axis=0), theta - theta.mean(axis=0)
+            np.testing.assert_allclose(got, theta, rtol=0, atol=1e-10)
+        return blocks
+
+    def test_equal_size_mixture_clients(self, monkeypatch):
+        cfg = replace(parse_config(ROOT / "scripts" / "configs" / "group_recovery.cfg"), clients=50)
+        problem, spec = build_problem(cfg)
+        blocks = self.check(spec, problem.train, monkeypatch)
+        assert set(blocks) == {22, 6}  # blocks of 22, 22 and 6 clients
+
+    def test_unequal_dirichlet_clients(self, dirichlet, monkeypatch):
+        problem, spec = build_problem(dirichlet)
+        assert len(set(problem.train.counts)) > 1
+        self.check(spec, problem.train, monkeypatch)
+
+    def test_clients_without_l2(self, monkeypatch):
+        # l2 = 0: singular Hessians, a minimum-norm step for each running client;
+        # random labels on many rows, so that each client has a finite optimum
+        spec = ModelSpec("softmax-regression", input_dim=4, classes=3, l2_penalty=0.0)
+        rng = stream(17)
+        rows = stack_rows(spec, [(rng.normal(size=(n, 4)), rng.integers(0, 3, size=n))
+                                 for n in (200, 120, 300, 120)])
+        self.check(spec, rows, monkeypatch)
+
+    def test_one_solve_per_stack_and_spec(self, monkeypatch):
+        solves = []
+
+        def counted(spec, rows):
+            solves.append(spec)
+            return newton_of_stack(spec, rows)
+
+        newton_of_stack = federation._newton
+        monkeypatch.setattr(federation, "_newton", counted)
+        rows = stacked([make_client(seed=s) for s in range(3)]).train
+        first = [per_client_optimum(SPEC, rows, i) for i in range(3)]
+        assert [per_client_optimum(SPEC, rows, i) for i in range(3)] == first
+        other = replace(SPEC, l2_penalty=1e-2)
+        per_client_optimum(other, rows, 0)
+        assert solves == [SPEC, other]
 
 
 # ----------------------------------------------------------------------
@@ -616,16 +697,17 @@ class TestTracePass:
                 weight_diagnostics(weights)
 
 
-class TestBlockViews:
-    @pytest.fixture(scope="class")
-    def dirichlet(self, tmp_path_factory):
-        """dirichlet_csv.cfg's problem: 8 clients of unequal size."""
-        path = tmp_path_factory.mktemp("csv") / "data.csv"
-        subprocess.run([sys.executable, str(ROOT / "scripts" / "make_csv_dataset.py"), str(path)],
-                       check=True, capture_output=True)
-        cfg = parse_config(ROOT / "scripts" / "configs" / "dirichlet_csv.cfg")
-        return replace(cfg, data=replace(cfg.data, csv_path=str(path)))
+@pytest.fixture(scope="module")
+def dirichlet(tmp_path_factory):
+    """dirichlet_csv.cfg's problem: 8 clients of unequal size."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_csv_dataset.py"), str(path)],
+                   check=True, capture_output=True)
+    cfg = parse_config(ROOT / "scripts" / "configs" / "dirichlet_csv.cfg")
+    return replace(cfg, data=replace(cfg.data, csv_path=str(path)))
 
+
+class TestBlockViews:
     @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
     def test_view_and_its_memoized_target_match_a_gather(self, dirichlet, kind):
         cfg = replace(dirichlet, model=replace(dirichlet.model, kind=kind))

@@ -120,9 +120,8 @@ def train_of(clients):
 
 
 def optima_of(train):
-    """Each client's optimum, solved on its unpadded one-client slice."""
-    return [per_client_optimum(SOFTMAX2, train[i:i + 1, :, :n]).theta
-            for i, n in enumerate(train.counts)]
+    """Each client's optimum, from one solve of the whole stack."""
+    return [per_client_optimum(SOFTMAX2, train, i).theta for i in range(len(train.x))]
 
 
 def unequal_clients():

@@ -19,7 +19,7 @@ from fedfew.model import (
     softmax_hessian,
     stack_rows,
 )
-from perpair import finite_difference_grad, grad, logits, loss
+from perpair import finite_difference_grad, grad, logits, loss, one_pair_hessian
 from streams import stream
 
 
@@ -159,7 +159,9 @@ class TestHessian:
             spec, _, x, y = random_instance(seed, classes=classes, l2=l2)
             rows = stack_rows(spec, [(x, y)])
             theta = stream(seed, 3).normal(size=spec.dim)
-            h = softmax_hessian(spec, theta[None, None], rows)
+            hessians = softmax_hessian(spec, theta[None, None], rows)
+            assert hessians.shape == (1, spec.dim, spec.dim)
+            h = hessians[0]
             assert h.shape == (spec.dim, spec.dim)
             np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-15)
             fd = np.empty_like(h)
@@ -170,6 +172,22 @@ class TestHessian:
                 lo = grid_loss_and_grad(spec, (theta - e)[None, None], rows)[1][0, 0]
                 fd[:, j] = (hi - lo) / (2.0 * step)
             np.testing.assert_allclose(h, fd, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("classes, p", [(2, 3), (3, 4), (5, 2)])
+    def test_grid_matches_the_one_pair_formula(self, classes, p):
+        # clients of unequal size in one padded stack, each against the
+        # diagonal-minus-outer formula on its own unpadded rows
+        spec = ModelSpec("softmax-regression", input_dim=p, classes=classes, l2_penalty=1e-3)
+        rng = stream(classes, p)
+        rows = stack_rows(spec, [(rng.normal(size=(n, p)), rng.integers(0, classes, size=n))
+                                 for n in (7, 3, 12, 1)])
+        thetas = rng.normal(size=(4, 1, spec.dim))
+        hessians = softmax_hessian(spec, thetas, rows)
+        assert hessians.shape == (4, spec.dim, spec.dim)
+        for i, n in enumerate(rows.counts):
+            want = one_pair_hessian(spec, thetas[i:i + 1], rows[i:i + 1, :, :n])
+            np.testing.assert_allclose(hessians[i], want, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(hessians[i], hessians[i].T)
 
 
 class TestPredict:
